@@ -121,7 +121,6 @@ def _run_cell(name, model, r, algo, data0, init, irka_opts, cirka_opts,
             res = irka(model, data0, irka_opts or IrkaOptions(),
                        ShiftedSolver(model))
             err = _rel_error(model, res.rom) if compute_errors else None
-            res.relative_h2_error = err
             return BenchmarkRow(model=name, algorithm="irka", r=r,
                                 k_outer=res.iterations, k_inner_total=None,
                                 n_lu_full=res.counters.full_lu, n_lu_surrogate=None,

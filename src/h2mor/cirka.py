@@ -17,35 +17,35 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import ModelOrderExceeded, UnstableRom
+from .errors import ModelOrderExceeded, RankCollapse, UnstableRom
 from .interpolation import (
     InterpolationBlock,
     InterpolationData,
     hermite_reduce,
     primitive_basis,
+    project_real,
+    same_triplet,
+    triplet_residuals,
 )
 from .irka import IrkaOptions, IrkaResult, irka, shift_convergence
 from .linalg import (
     CostCounters,
     ShiftedSolver,
     is_stable,
-    orthonormalize_real,
     pencil_eigenvalues,
+    relative,
     stable_part,
 )
 from .metrics import h2_error
-from .model import (
-    StateSpaceModel,
-    eval_transfer,
-    eval_transfer_derivative,
-    pole_residue,
-    project,
-)
+from .model import StateSpaceModel, eval_transfer, pole_residue
 
 log = logging.getLogger(__name__)
 
 INIT_STRATEGIES = ("I1", "I2")
 UPDATE_STRATEGIES = ("U1", "U2", "U3")
+#: Relative shift distance and tangent angle distance below which a triplet
+#: counts as one the model function already interpolates.
+NEW_TRIPLET_TOL = 1e-6
 
 
 @dataclass
@@ -59,8 +59,6 @@ class CirkaOptions:
     outer_tol: float = 1e-3
     outer_max_iter: int = 15
     max_model_order: int | None = None   # default n // 2
-    new_triplet_shift_tol: float = 1e-6
-    new_triplet_angle_tol: float = 1e-6
     stop_criterion: str = "shifts_and_tangents"
     compute_error_estimate: bool = True
     verify_optimality: bool = True
@@ -122,42 +120,26 @@ class _BasisState:
     def total_columns(self) -> int:
         return sum(e[0].length for e in self.entries)
 
-    def find_match(self, block: InterpolationBlock, shift_tol: float, angle_tol: float):
-        from .irka import _angle_distance
-
+    def find_match(self, block: InterpolationBlock):
         for idx, (b, _, _) in enumerate(self.entries):
-            scale = abs(b.sigma)
-            d = abs(block.sigma - b.sigma) / scale if scale > 0 else abs(block.sigma)
-            if d > shift_tol:
-                continue
-            if _angle_distance(block.right, b.right) > angle_tol:
-                continue
-            if _angle_distance(block.left, b.left) > angle_tol:
-                continue
-            return idx
+            if same_triplet(b, block, NEW_TRIPLET_TOL, NEW_TRIPLET_TOL):
+                return idx
         return None
 
-    def _fresh_columns(self, block: InterpolationBlock):
+    def _columns(self, block: InterpolationBlock):
         sub = InterpolationData((block,))
         V = primitive_basis(self.model, sub, "input", self.solver)
         W = primitive_basis(self.model, sub, "output", self.solver)
-        return V, W
+        return [block, V, W]
 
     def append_block(self, block: InterpolationBlock) -> None:
-        V, W = self._fresh_columns(block)
-        self.entries.append([block, V, W])
+        self.entries.append(self._columns(block))
 
     def extend_block(self, idx: int, extra: int) -> None:
-        """Grow a chain: each new column is (A - sigma E)^{-1} E times the last."""
-        b, V, W = self.entries[idx]
-        Et = self.model.E.T.tocsc()
-        for _ in range(extra):
-            v = self.solver.solve(b.sigma, self.model.E @ V[:, -1])
-            w = self.solver.solve(b.sigma, Et @ W[:, -1], transposed=True)
-            V = np.column_stack([V, v])
-            W = np.column_stack([W, w])
-        self.entries[idx] = [InterpolationBlock(b.sigma, b.right, b.left, b.length + extra),
-                             V, W]
+        """Grow a chain by ``extra`` columns, rebuilt at its already factorized shift."""
+        b = self.entries[idx][0]
+        self.entries[idx] = self._columns(
+            InterpolationBlock(b.sigma, b.right, b.left, b.length + extra))
 
     def history(self) -> InterpolationData:
         return InterpolationData(tuple(e[0] for e in self.entries))
@@ -166,11 +148,7 @@ class _BasisState:
         history = self.history()
         Vprim = np.hstack([e[1] for e in self.entries])
         Wprim = np.hstack([e[2] for e in self.entries])
-        VM = orthonormalize_real(Vprim, history)
-        WM = orthonormalize_real(Wprim, history)
-        k = min(VM.shape[1], WM.shape[1])
-        VM, WM = VM[:, :k], WM[:, :k]
-        surrogate = project(self.model, VM, WM)
+        surrogate, VM, WM = project_real(self.model, Vprim, Wprim, history)
         return ModelFunction(surrogate=surrogate, VM=VM, WM=WM, Vprim=Vprim,
                              Wprim=Wprim, history=history, updates=updates)
 
@@ -181,7 +159,6 @@ class _BasisState:
 def init_model_function(model: StateSpaceModel, data0: InterpolationData,
                         strategy: str = "I2", n_model: int | None = None,
                         solver: ShiftedSolver | None = None, *,
-                        shift_tol: float = 1e-6, angle_tol: float = 1e-6,
                         max_model_order: int | None = None) -> ModelFunction:
     """Build the initial model function around the starting data.
 
@@ -219,7 +196,7 @@ def init_model_function(model: StateSpaceModel, data0: InterpolationData,
             state.append_block(b)
         ones = InterpolationBlock(0.0, np.ones(model.m), np.ones(model.p))
         for _ in range(n_model - r):
-            idx = state.find_match(ones, shift_tol, angle_tol)
+            idx = state.find_match(ones)
             if idx is None:
                 state.append_block(ones)
             else:
@@ -246,12 +223,10 @@ def update_model_function(model: StateSpaceModel, mf: ModelFunction,
     opts = opts or CirkaOptions()
     if solver is None:
         solver = ShiftedSolver(model)
-    stol, atol = opts.new_triplet_shift_tol, opts.new_triplet_angle_tol
 
     if strategy == "U3":
         keep = mf.history.r if opts.init_strategy == "I1" else None
         new_mf = init_model_function(model, opt_data, opts.init_strategy, keep, solver,
-                                     shift_tol=stol, angle_tol=atol,
                                      max_model_order=max_model_order)
         new_mf.updates = mf.updates + 1
         return new_mf, new_mf.history.r
@@ -261,7 +236,7 @@ def update_model_function(model: StateSpaceModel, mf: ModelFunction,
     actions = []
     added = 0
     for b in opt_data.blocks:
-        idx = state.find_match(b, stol, atol)
+        idx = state.find_match(b)
         if idx is not None and strategy == "U2":
             continue
         actions.append((idx, b))
@@ -335,20 +310,8 @@ def verify_h2_optimality(full_model: StateSpaceModel,
                                              math.nan, skipped_unstable=True))
             continue
         s = -lam.conjugate()
-        G = eval_transfer(full_model, s)
-        Gr = eval_transfer(rom, s)
-        dG = eval_transfer_derivative(full_model, s)
-        dGr = eval_transfer_derivative(rom, s)
-        b = brow  # b_i^T as a vector; c_i likewise
-        c = crow
-
-        def rel(num, den):
-            return num / den if den > 0 else num
-
-        rho_r = rel(np.linalg.norm((G - Gr) @ b), np.linalg.norm(G @ b))
-        rho_l = rel(np.linalg.norm(c @ (G - Gr)), np.linalg.norm(c @ G))
-        rho_h = rel(abs(c @ (dG - dGr) @ b), abs(c @ dG @ b))
-        entries.append(PoleResidualEntry(lam, s, rho_r, rho_l, rho_h))
+        rho = triplet_residuals(full_model, rom, s, brow, crow)
+        entries.append(PoleResidualEntry(lam, s, *rho))
     if any_skipped and all(e.skipped_unstable for e in entries):
         raise UnstableRom("reduced model has no stable poles to check")
     return OptimalityReport(tuple(entries), skipped_unstable=any_skipped)
@@ -411,9 +374,7 @@ def verify_realization_equivalence(full_model: StateSpaceModel,
     for s in points:
         Gd = eval_transfer(direct, s)
         Gm = eval_transfer(mf_rom, s)
-        den = np.linalg.norm(Gd)
-        dev = np.linalg.norm(Gd - Gm) / den if den > 0 else np.linalg.norm(Gd - Gm)
-        worst = max(worst, dev)
+        worst = max(worst, relative(np.linalg.norm(Gd - Gm), np.linalg.norm(Gd)))
     return EquivalenceReport(max_deviation=float(worst), points=tuple(points),
                              conclusive=converged)
 
@@ -451,7 +412,7 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
     """
     opts = opts or CirkaOptions()
     if solver is None:
-        solver = ShiftedSolver(model, opts.inner.recycle_conjugates)
+        solver = ShiftedSolver(model)
     init.validate(model.m, model.p)
     r = init.r
     max_nM = opts.max_model_order if opts.max_model_order is not None else model.n // 2
@@ -470,10 +431,7 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
         try:
             if mf is None:
                 mf = init_model_function(model, data, opts.init_strategy,
-                                         opts.initial_nM, solver,
-                                         shift_tol=opts.new_triplet_shift_tol,
-                                         angle_tol=opts.new_triplet_angle_tol,
-                                         max_model_order=max_nM)
+                                         opts.initial_nM, solver, max_model_order=max_nM)
                 new_cols.append(mf.history.r)
             else:
                 mf, added = update_model_function(model, mf, data, opts.update_strategy,
@@ -486,9 +444,11 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
         finally:
             counters.add_time("reduction", perf_counter() - t0)
 
+        if mf.order < r:
+            raise RankCollapse(f"model function has order {mf.order} after rank trimming, "
+                               f"below r = {r}")
         t0 = perf_counter()
-        inner_solver = ShiftedSolver(mf.surrogate, opts.inner.recycle_conjugates)
-        inner = irka(mf.surrogate, data, opts.inner, inner_solver)
+        inner = irka(mf.surrogate, data, opts.inner, ShiftedSolver(mf.surrogate))
         counters.add_time("optimization", perf_counter() - t0)
         counters.surrogate_lu += inner.counters.full_lu
         counters.surrogate_lu_norecycle += inner.counters.full_lu_norecycle

@@ -48,7 +48,6 @@ def default_config() -> dict:
         "update_strategy": co.update_strategy,
         "outer_tol": co.outer_tol,
         "outer_max_iter": co.outer_max_iter,
-        "recycle_conjugates": io.recycle_conjugates,
     }
 
 

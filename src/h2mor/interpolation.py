@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NotConjugateClosed, SingularShift
-from .linalg import ShiftedSolver, orthonormalize_real
+from .linalg import ShiftedSolver, orthonormalize_real, relative
 from .model import StateSpaceModel, eval_transfer, eval_transfer_derivative, project
 
 log = logging.getLogger(__name__)
@@ -65,6 +65,28 @@ class InterpolationBlock:
             if np.linalg.norm(a - b.conj()) > rtol * max(np.linalg.norm(a), 1e-300):
                 return False
         return True
+
+
+def angle_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """1 - |cos(angle)| between two tangent directions (0 when both vanish)."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 and nb == 0.0:
+        return 0.0
+    if na == 0.0 or nb == 0.0:
+        return 1.0
+    return 1.0 - abs(np.vdot(a, b)) / (na * nb)
+
+
+def same_triplet(existing: InterpolationBlock, new: InterpolationBlock,
+                 shift_tol: float, angle_tol: float) -> bool:
+    """Whether ``new`` repeats the triplet ``existing``.
+
+    The shifts must agree within ``shift_tol`` relative to the existing shift
+    (absolutely when it is zero), both tangents within ``angle_tol``.
+    """
+    d = relative(abs(new.sigma - existing.sigma), abs(existing.sigma))
+    return (d <= shift_tol and angle_distance(existing.right, new.right) <= angle_tol
+            and angle_distance(existing.left, new.left) <= angle_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,9 +308,7 @@ def sylvester_residual(model: StateSpaceModel, basis: np.ndarray,
         res = model.A.T @ basis - model.E.T @ basis @ S - ref
     else:
         raise ValueError("side must be 'input' or 'output'")
-    nref = np.linalg.norm(ref)
-    nres = np.linalg.norm(res)
-    return nres / nref if nref > 0 else nres
+    return relative(np.linalg.norm(res), np.linalg.norm(ref))
 
 
 def hermite_reduce(model: StateSpaceModel, data: InterpolationData,
@@ -315,14 +335,24 @@ def hermite_reduce(model: StateSpaceModel, data: InterpolationData,
             log.warning("shift %s hit the spectrum; retrying with perturbed data", exc.sigma)
             data = data.perturbed(exc.sigma)
 
+    rom, V, W = project_real(model, Vp, Wp, data)
+    return rom, ProjectionPair(Vprim=Vp, Wprim=Wp, V=V, W=W, data=data)
+
+
+def project_real(model: StateSpaceModel, Vp: np.ndarray, Wp: np.ndarray,
+                 data: InterpolationData):
+    """Fold both primitive bases to real orthonormal form and project.
+
+    The bases are trimmed to their joint rank so V and W keep equal column
+    counts.  Returns ``(rom, V, W)``.
+    """
     V = orthonormalize_real(Vp, data)
     W = orthonormalize_real(Wp, data)
     k = min(V.shape[1], W.shape[1])
     if k < max(V.shape[1], W.shape[1]):
         log.debug("trimming projection bases to joint rank %d", k)
         V, W = V[:, :k], W[:, :k]
-    rom = project(model, V, W)
-    return rom, ProjectionPair(Vprim=Vp, Wprim=Wp, V=V, W=W, data=data)
+    return project(model, V, W), V, W
 
 
 @dataclass(frozen=True)
@@ -351,8 +381,20 @@ class InterpolationReport:
         return self.max_residual < tol
 
 
-def _rel(num: float, den: float) -> float:
-    return num / den if den > 0 else num
+def triplet_residuals(full: StateSpaceModel, rom: StateSpaceModel, s: complex,
+                      right: np.ndarray, left: np.ndarray):
+    """Relative residuals of the three bitangential Hermite conditions at s.
+
+    Returns ``(rho_right, rho_left, rho_hermite)`` for G(s) r, l^T G(s) and
+    l^T G'(s) r between the full and the reduced model.
+    """
+    G = eval_transfer(full, s)
+    Gr = eval_transfer(rom, s)
+    dG = eval_transfer_derivative(full, s)
+    dGr = eval_transfer_derivative(rom, s)
+    return (relative(np.linalg.norm((G - Gr) @ right), np.linalg.norm(G @ right)),
+            relative(np.linalg.norm(left @ (G - Gr)), np.linalg.norm(left @ G)),
+            relative(abs(left @ (dG - dGr) @ right), abs(left @ dG @ right)))
 
 
 def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
@@ -362,14 +404,6 @@ def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
     For chains only the order-0/1 conditions at the chain shift are checked
     here; higher moments have their own finite-difference tests.
     """
-    entries = []
-    for b in data.blocks:
-        G = eval_transfer(full, b.sigma)
-        Gr = eval_transfer(rom, b.sigma)
-        dG = eval_transfer_derivative(full, b.sigma)
-        dGr = eval_transfer_derivative(rom, b.sigma)
-        right = _rel(np.linalg.norm((G - Gr) @ b.right), np.linalg.norm(G @ b.right))
-        left = _rel(np.linalg.norm(b.left @ (G - Gr)), np.linalg.norm(b.left @ G))
-        herm = _rel(abs(b.left @ (dG - dGr) @ b.right), abs(b.left @ dG @ b.right))
-        entries.append(TripletResidual(b.sigma, right, left, herm))
-    return InterpolationReport(tuple(entries))
+    return InterpolationReport(tuple(
+        TripletResidual(b.sigma, *triplet_residuals(full, rom, b.sigma, b.right, b.left))
+        for b in data.blocks))

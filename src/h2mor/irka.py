@@ -14,9 +14,15 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import CardinalityMismatch, DefectiveSpectrum
-from .interpolation import InterpolationBlock, InterpolationData, hermite_reduce
-from .linalg import CostCounters, ShiftedSolver
+from .errors import CardinalityMismatch, DimensionMismatch, NotConjugateClosed
+from .interpolation import (
+    InterpolationBlock,
+    InterpolationData,
+    angle_distance,
+    hermite_reduce,
+    same_triplet,
+)
+from .linalg import CostCounters, ShiftedSolver, conjugate_pairs, relative
 from .model import StateSpaceModel, pole_residue
 
 log = logging.getLogger(__name__)
@@ -31,7 +37,6 @@ class IrkaOptions:
     tol: float = 1e-3
     max_iter: int = 50
     stop_criterion: str = "shifts_only"
-    recycle_conjugates: bool = True
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -51,16 +56,6 @@ class IrkaResult:
     shift_history: list
     counters: CostCounters
     reflected_iterations: list = field(default_factory=list)
-    relative_h2_error: float | None = None
-
-
-def _angle_distance(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 and nb == 0.0:
-        return 0.0
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    return 1.0 - abs(np.vdot(a, b)) / (na * nb)
 
 
 def _sorted_column_order(data: InterpolationData) -> np.ndarray:
@@ -83,21 +78,13 @@ def shift_convergence(prev: InterpolationData, new: InterpolationData,
         raise CardinalityMismatch(f"data sets have {prev.r} and {new.r} columns")
     ip, iq = _sorted_column_order(prev), _sorted_column_order(new)
     sp, sq = prev.shifts[ip], new.shifts[iq]
-    den = np.linalg.norm(sp)
-    dist = np.linalg.norm(sq - sp) / den if den > 0 else np.linalg.norm(sq - sp)
+    dist = relative(np.linalg.norm(sq - sp), np.linalg.norm(sp))
     if criterion == "shifts_and_tangents":
         rp, rq = prev.right_tangents[ip], new.right_tangents[iq]
         lp, lq = prev.left_tangents[ip], new.left_tangents[iq]
         for k in range(prev.r):
-            dist = max(dist, _angle_distance(rp[k], rq[k]), _angle_distance(lp[k], lq[k]))
+            dist = max(dist, angle_distance(rp[k], rq[k]), angle_distance(lp[k], lq[k]))
     return float(dist)
-
-
-def _same_triplet(a: InterpolationBlock, b: InterpolationBlock, tol: float) -> bool:
-    scale = abs(a.sigma)
-    d = abs(b.sigma - a.sigma) / scale if scale > 0 else abs(b.sigma)
-    return (d <= tol and _angle_distance(a.right, b.right) <= tol
-            and _angle_distance(a.left, b.left) <= tol)
 
 
 def _merge_repeats(blocks, tol: float = 1e-8):
@@ -111,7 +98,7 @@ def _merge_repeats(blocks, tol: float = 1e-8):
     merged: list[InterpolationBlock] = []
     for b in blocks:
         for i, mb in enumerate(merged):
-            if _same_triplet(mb, b, tol):
+            if same_triplet(mb, b, tol, tol):
                 merged[i] = InterpolationBlock(mb.sigma, mb.right, mb.left,
                                                mb.length + b.length)
                 break
@@ -132,41 +119,35 @@ def update_interpolation_data(rom: StateSpaceModel):
     """
     prf = pole_residue(rom)
     lam = prf.poles
-    reflected = False
+    groups = conjugate_pairs(lam, np.lexsort((np.abs(lam.imag), lam.real)))
+    blocks, reflected = _mirrored_blocks(prf, groups)
+    return InterpolationData(_merge_repeats(blocks)), reflected
 
-    def mirror(l):
-        nonlocal reflected
-        s = -l.conjugate()
+
+def _mirrored_blocks(prf, groups):
+    """Blocks at the mirrored poles -conj(lambda) with residue tangents.
+
+    A shift landing in the closed left half-plane has its real part
+    reflected to positive (``reflected`` reports it).  A complex pair is
+    built from its Im > 0 member and its conjugate, so closure is exact.
+    Returns ``(blocks, reflected)``.
+    """
+    lam = prf.poles
+    blocks = []
+    reflected = False
+    for group in groups:
+        k = group[0] if lam[group[0]].imag > 0 else group[-1]
+        s = -lam[k].conjugate()
         if s.real < 0.0:
             reflected = True
             s = complex(abs(s.real), s.imag)
-        return s
-
-    blocks = []
-    used = np.zeros(len(lam), dtype=bool)
-    order = np.lexsort((np.abs(lam.imag), lam.real))
-    for i in order:
-        if used[i]:
-            continue
-        used[i] = True
-        li = lam[i]
-        if abs(li.imag) <= 1e-10 * (1.0 + abs(li)):
-            blocks.append(InterpolationBlock(complex(mirror(li).real),
-                                             prf.input_residues[i].real,
-                                             prf.output_residues[i].real))
-            continue
-        cand = [j for j in range(len(lam)) if not used[j]]
-        if not cand:
-            raise DefectiveSpectrum("unpaired complex pole in a real reduced model")
-        j = min(cand, key=lambda j: abs(lam[j] - li.conjugate()))
-        if abs(lam[j] - li.conjugate()) > 1e-8 * (1.0 + abs(li)):
-            raise DefectiveSpectrum(f"no conjugate partner for pole {li}")
-        used[j] = True
-        # build the pair from the Im > 0 member so closure is exact
-        k = i if li.imag > 0 else j
-        b = InterpolationBlock(mirror(lam[k]), prf.input_residues[k], prf.output_residues[k])
-        blocks.extend([b, b.conjugate()])
-    return InterpolationData(_merge_repeats(blocks)), reflected
+        if len(group) == 1:
+            blocks.append(InterpolationBlock(complex(s.real), prf.input_residues[k].real,
+                                             prf.output_residues[k].real))
+        else:
+            b = InterpolationBlock(s, prf.input_residues[k], prf.output_residues[k])
+            blocks.extend([b, b.conjugate()])
+    return blocks, reflected
 
 
 def _pad_to_order(data: InterpolationData, r: int) -> InterpolationData:
@@ -220,10 +201,10 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     """
     opts = opts or IrkaOptions()
     if solver is None:
-        solver = ShiftedSolver(model, opts.recycle_conjugates)
+        solver = ShiftedSolver(model)
     init.validate(model.m, model.p)
     if init.r > model.n:
-        raise ValueError(f"reduced order {init.r} exceeds model order {model.n}")
+        raise DimensionMismatch(f"reduced order {init.r} exceeds model order {model.n}")
 
     lu0, lu0n = solver.lu_count, solver.lu_count_norecycle
     t0 = perf_counter()
@@ -273,37 +254,12 @@ def initial_data_from_spectrum(model: StateSpaceModel, r: int) -> InterpolationD
     """
     prf = pole_residue(model)
     lam = prf.poles
-    order = np.argsort(np.abs(lam))
-    used = np.zeros(len(lam), dtype=bool)
-    blocks = []
-    count = 0
-    for i in order:
-        if used[i] or count >= r:
-            continue
-        li = lam[i]
-        if abs(li.imag) <= 1e-10 * (1.0 + abs(li)):
-            used[i] = True
-            s = -li.real
-            if s < 0:
-                s = abs(s)
-            blocks.append(InterpolationBlock(complex(s), prf.input_residues[i].real,
-                                             prf.output_residues[i].real))
-            count += 1
-            continue
-        cand = [j for j in range(len(lam)) if not used[j] and j != i]
-        j = min(cand, key=lambda j: abs(lam[j] - li.conjugate()), default=None)
-        if j is None or abs(lam[j] - li.conjugate()) > 1e-8 * (1.0 + abs(li)):
-            raise DefectiveSpectrum(f"no conjugate partner for pole {li}")
-        if count + 2 > r:
-            continue    # pair does not fit; look for a further real pole
-        used[i] = used[j] = True
-        k = i if li.imag > 0 else j
-        s = -lam[k].conjugate()
-        if s.real < 0:
-            s = complex(abs(s.real), s.imag)
-        b = InterpolationBlock(s, prf.input_residues[k], prf.output_residues[k])
-        blocks.extend([b, b.conjugate()])
-        count += 2
+    groups, count = [], 0
+    for group in conjugate_pairs(lam, np.argsort(np.abs(lam))):
+        if count + len(group) <= r:
+            groups.append(group)
+            count += len(group)
     if count != r:
-        raise ValueError(f"could not pick {r} conjugate-closed shifts from the spectrum")
+        raise NotConjugateClosed(f"could not pick {r} conjugate-closed shifts from the spectrum")
+    blocks, _ = _mirrored_blocks(prf, groups)
     return InterpolationData(tuple(blocks))

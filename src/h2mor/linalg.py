@@ -58,18 +58,16 @@ class CostCounters:
 class ShiftedSolver:
     """Factorization session for (A - sigma E) x = b over one model.
 
-    Factorizations are cached by exact shift value.  With
-    ``recycle_conjugates`` (default) a conjugate pair of shifts shares one LU
-    (solutions for the pair are exact conjugates of each other), and direct
-    and transposed solves at the same shift share it too.  ``lu_count``
-    increments exactly once per factorization actually computed;
+    Factorizations are cached by exact shift value.  A conjugate pair of
+    shifts shares one LU (solutions for the pair are exact conjugates of each
+    other), and direct and transposed solves at the same shift share it too.
+    ``lu_count`` increments exactly once per factorization actually computed;
     ``lu_count_norecycle`` counts distinct (shift, mode) requests, i.e. the
     worst-case number of factorizations without any recycling.
     """
 
-    def __init__(self, model: StateSpaceModel, recycle_conjugates: bool = True):
+    def __init__(self, model: StateSpaceModel):
         self.model = model
-        self.recycle_conjugates = recycle_conjugates
         self.lu_count = 0
         self.lu_count_norecycle = 0
         self._cache = {}
@@ -78,10 +76,8 @@ class ShiftedSolver:
     def solve(self, sigma: complex, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
         """Return (A - sigma E)^{-1} rhs, or the transposed solve."""
         sigma = complex(sigma)
-        if self.recycle_conjugates and sigma.imag < 0.0:
-            key, flip = complex(sigma.real, -sigma.imag), True
-        else:
-            key, flip = sigma, False
+        flip = sigma.imag < 0.0
+        key = sigma.conjugate() if flip else sigma
         lu = self._cache.get(key)
         if lu is None:
             lu = self._factorize(key)
@@ -111,6 +107,39 @@ class ShiftedSolver:
     def drop_factorizations(self) -> None:
         """Release cached factorizations; all counters keep their values."""
         self._cache.clear()
+
+
+def relative(num: float, den: float) -> float:
+    """``num / den``, or ``num`` itself when the reference ``den`` is zero."""
+    return num / den if den > 0 else num
+
+
+def conjugate_pairs(lam: np.ndarray, order) -> list:
+    """Group a real pencil's eigenvalues into conjugate-closed sets.
+
+    Visits ``lam`` in ``order``: a real value (|Im| <= 1e-10 (1 + |lambda|))
+    becomes ``(i,)``; a complex one ``(i, j)`` with ``j`` its nearest
+    unvisited conjugate, which must lie within 1e-8 (1 + |lambda|).  Groups
+    come out in visiting order; raises :class:`DefectiveSpectrum` when a
+    complex value has no partner.
+    """
+    groups = []
+    used = np.zeros(len(lam), dtype=bool)
+    for i in order:
+        if used[i]:
+            continue
+        used[i] = True
+        li = lam[i]
+        if abs(li.imag) <= 1e-10 * (1.0 + abs(li)):
+            groups.append((i,))
+            continue
+        cand = [j for j in range(len(lam)) if not used[j]]
+        j = min(cand, key=lambda j: abs(lam[j] - li.conjugate()), default=None)
+        if j is None or abs(lam[j] - li.conjugate()) > 1e-8 * (1.0 + abs(li)):
+            raise DefectiveSpectrum(f"no conjugate partner for eigenvalue {li}")
+        used[j] = True
+        groups.append((i, j))
+    return groups
 
 
 def generalized_eig(Ar: np.ndarray, Er: np.ndarray):
@@ -245,26 +274,16 @@ def stable_part(model: StateSpaceModel) -> StateSpaceModel:
     c_cols = model.C @ X
 
     blocks_a, rows_b, cols_c = [], [], []
-    used = np.zeros(len(lam), dtype=bool)
-    order = np.lexsort((lam.imag, lam.real))
-    for i in order:
-        if used[i] or not stable[i]:
+    for group in conjugate_pairs(lam, np.lexsort((lam.imag, lam.real))):
+        i = group[0]
+        if not stable[i]:
             continue
-        used[i] = True
         li = lam[i]
-        if abs(li.imag) <= 1e-10 * (1.0 + abs(li)):
+        if len(group) == 1:
             blocks_a.append(np.array([[li.real]]))
             rows_b.append(b_rows[i].real.reshape(1, -1))
             cols_c.append(c_cols[:, i].real.reshape(-1, 1))
             continue
-        # find the conjugate partner
-        cand = [j for j in range(len(lam)) if not used[j] and j != i]
-        if not cand:
-            raise DefectiveSpectrum("unpaired complex eigenvalue in a real pencil")
-        j = min(cand, key=lambda j: abs(lam[j] - li.conjugate()))
-        if abs(lam[j] - li.conjugate()) > 1e-8 * (1.0 + abs(li)):
-            raise DefectiveSpectrum(f"no conjugate partner for eigenvalue {li}")
-        used[j] = True
         a, b = li.real, li.imag
         blocks_a.append(np.array([[a, -b], [b, a]]))
         bt = b_rows[i]

@@ -9,7 +9,7 @@ import scipy.integrate
 import scipy.sparse as sps
 
 from .errors import FeedthroughMismatch, NegativeInput
-from .linalg import pencil_eigenvalues, solve_generalized_lyapunov
+from .linalg import pencil_eigenvalues, relative, solve_generalized_lyapunov
 from .model import DENSE_THRESHOLD, StateSpaceModel, eval_transfer, make_model
 
 
@@ -75,8 +75,7 @@ def error_system(full: StateSpaceModel, rom: StateSpaceModel) -> StateSpaceModel
 def h2_error(full: StateSpaceModel, rom: StateSpaceModel):
     """Absolute and relative H2 error ||G - G_r||_H2, ||.|| / ||G||_H2."""
     err = h2_norm(error_system(full, rom))
-    ref = h2_norm(full)
-    return err, err / ref if ref > 0 else err
+    return err, relative(err, h2_norm(full))
 
 
 def linf_output_bound(h2_error_abs: float, input_l2_norm: float) -> float:

@@ -11,7 +11,7 @@ from h2mor.benchmark import (
 )
 from h2mor.errors import IoError
 
-from .helpers import random_stable_model
+from .helpers import random_stable_model, spring_chain_model
 
 
 def small_models():
@@ -76,6 +76,11 @@ class TestRunBenchmark:
         models = {"toy": random_stable_model(20, 1, 1, 603)}
         rows = run_benchmark(models, [2], init="eigs", algorithms=("irka",))
         assert len(rows) == 1 and rows[0].init == "eigs"
+
+    def test_eigs_init_without_real_pole_skips_model(self):
+        # every pole of the chain is complex, so no 3 shifts are conjugate-closed
+        rows = run_benchmark({"chain": spring_chain_model(10)}, [3], init="eigs")
+        assert rows == []
 
     def test_determinism(self):
         models = small_models()

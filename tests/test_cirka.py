@@ -17,7 +17,7 @@ from h2mor import (
     verify_realization_equivalence,
     verify_tangential_interpolation,
 )
-from h2mor.errors import ModelOrderExceeded, UnstableRom
+from h2mor.errors import ModelOrderExceeded, RankCollapse, UnstableRom
 
 from .helpers import random_conjugate_data, random_stable_model
 
@@ -175,6 +175,14 @@ class TestCirka:
         assert res.counters.surrogate_lu > 0
         assert sum(res.new_columns_per_step) >= res.model_function.history.r
 
+    def test_model_function_below_r_raises(self):
+        # B excites 6 modes: the zero-init Krylov chain has rank 6 < r = 8
+        B = np.zeros((40, 1))
+        B[:6, 0] = 1.0
+        model = make_model(None, np.diag(-np.arange(1.0, 41.0)), B, np.ones((1, 40)))
+        with pytest.raises(RankCollapse):
+            cirka(model, InterpolationData.zero_init(8, 1, 1))
+
     def test_optimality_transfer_to_full_model(self):
         model = random_stable_model(50, 2, 2, 508)
         init = InterpolationData.zero_init(4, 2, 2)
@@ -201,7 +209,7 @@ class TestCirka:
 
         state = _BasisState.from_model_function(res.model_function, model, None)
         for b in res.optimal_data.blocks:
-            assert state.find_match(b, 1e-6, 1e-6) is not None
+            assert state.find_match(b) is not None
 
     def test_fallback_to_direct_irka(self):
         model = random_stable_model(30, 1, 1, 504)

@@ -14,7 +14,7 @@ from h2mor import (
     verify_h2_optimality,
     verify_tangential_interpolation,
 )
-from h2mor.errors import CardinalityMismatch
+from h2mor.errors import CardinalityMismatch, DimensionMismatch
 
 from .helpers import random_conjugate_data, random_stable_model
 
@@ -140,7 +140,7 @@ class TestIrka:
     def test_order_above_n_rejected(self):
         model = random_stable_model(5, 1, 1, 98)
         init = InterpolationData.zero_init(6, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatch):
             irka(model, init)
 
     def test_option_validation(self):

@@ -75,14 +75,6 @@ class TestShiftedSolver:
         assert solver.lu_count == 1
         assert solver.lu_count_norecycle == 2
 
-    def test_no_recycling_counts(self):
-        model = random_stable_model(40, 1, 1, 25)
-        solver = ShiftedSolver(model, recycle_conjugates=False)
-        rhs = np.ones(40)
-        solver.solve(1 + 2j, rhs)
-        solver.solve(1 - 2j, rhs)
-        assert solver.lu_count == 2
-
     def test_singular_shift_raises(self):
         model = make_model(None, np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)))
         solver = ShiftedSolver(model)
