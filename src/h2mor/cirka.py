@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -46,6 +46,8 @@ UPDATE_STRATEGIES = ("U1", "U2", "U3")
 #: Relative shift distance and tangent angle distance below which a triplet
 #: counts as one the model function already interpolates.
 NEW_TRIPLET_TOL = 1e-6
+#: The outer loop stops when shifts and tangent directions stop moving.
+OUTER_STOP_CRITERION = "shifts_and_tangents"
 
 
 @dataclass
@@ -59,7 +61,6 @@ class CirkaOptions:
     outer_tol: float = 1e-3
     outer_max_iter: int = 15
     max_model_order: int | None = None   # default n // 2
-    stop_criterion: str = "shifts_and_tangents"
     compute_error_estimate: bool = True
     verify_optimality: bool = True
 
@@ -76,81 +77,66 @@ class CirkaOptions:
 
 @dataclass(eq=False)
 class ModelFunction:
-    """Surrogate model with its generating bases and interpolation history.
+    """Surrogate model with its interpolation history and primitive columns.
 
-    ``history`` holds every triplet the primitive bases realize (chains
-    included), column-aligned with ``Vprim``/``Wprim``.  The surrogate is the
-    projection of the full model onto the real orthonormal folds VM, WM.
+    ``history`` holds every triplet the model function interpolates (chains
+    included); ``columns`` holds, per block of ``history``, the input- and
+    output-side primitive Krylov columns.  The surrogate is the projection of
+    the full model onto their real orthonormal folds.
     """
 
     surrogate: StateSpaceModel
-    VM: np.ndarray
-    WM: np.ndarray
-    Vprim: np.ndarray
-    Wprim: np.ndarray
     history: InterpolationData
-    updates: int = 0
+    columns: tuple        # (V, W) per block, each n x block length
 
     @property
     def order(self) -> int:
         return self.surrogate.n
 
-
-# -- growing block-of-columns state ------------------------------------------
-
-
-class _BasisState:
-    """Interpolation blocks with their primitive columns, grown in place."""
-
-    def __init__(self, model, solver):
-        self.model = model
-        self.solver = solver
-        self.entries = []    # [block, Vcols (n x length), Wcols (n x length)]
-
-    @classmethod
-    def from_model_function(cls, mf: ModelFunction, model, solver):
-        state = cls(model, solver)
-        offs = mf.history.column_offsets
-        for off, b in zip(offs, mf.history.blocks):
-            cols = slice(off, off + b.length)
-            state.entries.append([b, mf.Vprim[:, cols].copy(), mf.Wprim[:, cols].copy()])
-        return state
+    @property
+    def Vprim(self) -> np.ndarray:
+        return np.hstack([V for V, _ in self.columns])
 
     @property
-    def total_columns(self) -> int:
-        return sum(e[0].length for e in self.entries)
+    def Wprim(self) -> np.ndarray:
+        return np.hstack([W for _, W in self.columns])
 
-    def find_match(self, block: InterpolationBlock):
-        for idx, (b, _, _) in enumerate(self.entries):
-            if same_triplet(b, block, NEW_TRIPLET_TOL, NEW_TRIPLET_TOL):
-                return idx
-        return None
 
-    def _columns(self, block: InterpolationBlock):
-        sub = InterpolationData((block,))
-        V = primitive_basis(self.model, sub, "input", self.solver)
-        W = primitive_basis(self.model, sub, "output", self.solver)
-        return [block, V, W]
+def _find_match(blocks, block: InterpolationBlock):
+    """Index of the first of ``blocks`` whose triplet ``block`` repeats, or None."""
+    return next((i for i, b in enumerate(blocks)
+                 if same_triplet(b, block, NEW_TRIPLET_TOL, NEW_TRIPLET_TOL)), None)
 
-    def append_block(self, block: InterpolationBlock) -> None:
-        self.entries.append(self._columns(block))
 
-    def extend_block(self, idx: int, extra: int) -> None:
-        """Grow a chain by ``extra`` columns, rebuilt at its already factorized shift."""
-        b = self.entries[idx][0]
-        self.entries[idx] = self._columns(
-            InterpolationBlock(b.sigma, b.right, b.left, b.length + extra))
+def _extend(entries: list, idx: int, extra: int) -> None:
+    """Grow the chain of ``entries[idx]`` by ``extra``; the builder solves it anew."""
+    b = entries[idx][0]
+    entries[idx] = (replace(b, length=b.length + extra), None)
 
-    def history(self) -> InterpolationData:
-        return InterpolationData(tuple(e[0] for e in self.entries))
 
-    def assemble(self, updates: int) -> ModelFunction:
-        history = self.history()
-        Vprim = np.hstack([e[1] for e in self.entries])
-        Wprim = np.hstack([e[2] for e in self.entries])
-        surrogate, VM, WM = project_real(self.model, Vprim, Wprim, history)
-        return ModelFunction(surrogate=surrogate, VM=VM, WM=WM, Vprim=Vprim,
-                             Wprim=Wprim, history=history, updates=updates)
+def _build(model: StateSpaceModel, entries: list, solver: ShiftedSolver,
+           max_model_order: int | None) -> ModelFunction:
+    """Make the model function of ``(block, columns or None)`` entries.
+
+    The order cap, ``min(max_model_order, n)``, is checked before any solve.
+    Blocks without columns get theirs from :func:`primitive_basis`, one block
+    at a time at its final chain length; then all columns are projected.
+    """
+    total = sum(b.length for b, _ in entries)
+    cap = model.n if max_model_order is None else min(max_model_order, model.n)
+    if total > cap:
+        raise ModelOrderExceeded(f"model-function order {total} exceeds the cap {cap}")
+    columns = []
+    for b, cols in entries:
+        if cols is None:
+            sub = InterpolationData((b,))
+            cols = (primitive_basis(model, sub, "input", solver),
+                    primitive_basis(model, sub, "output", solver))
+        columns.append(cols)
+    mf = ModelFunction(surrogate=None, history=InterpolationData(tuple(b for b, _ in entries)),
+                       columns=tuple(columns))
+    mf.surrogate, _, _ = project_real(model, mf.Vprim, mf.Wprim, mf.history)
+    return mf
 
 
 # -- initialization and update strategies ------------------------------------
@@ -163,9 +149,10 @@ def init_model_function(model: StateSpaceModel, data0: InterpolationData,
     """Build the initial model function around the starting data.
 
     I.1 keeps ``data0`` and adds a Jordan chain of length ``n_model - r`` at 0
-    with all-ones tangents (repeated nodes extend existing chains).  I.2
-    doubles every chain of ``data0`` (Hermite doubling), which fixes
-    ``n_model = 2 r``.
+    with all-ones tangents (a chain of ``data0`` at that triplet grows
+    instead).  I.2 doubles every chain of ``data0`` (Hermite doubling), which
+    fixes ``n_model = 2 r``.  An order above ``min(max_model_order, n)``
+    raises :class:`ModelOrderExceeded`.
     """
     if strategy not in INIT_STRATEGIES:
         raise ValueError(f"strategy must be one of {INIT_STRATEGIES}")
@@ -176,32 +163,19 @@ def init_model_function(model: StateSpaceModel, data0: InterpolationData,
     if strategy == "I2":
         if n_model is not None and n_model != 2 * r:
             raise ValueError(f"I.2 fixes the model-function order to 2r = {2 * r}")
-        n_model = 2 * r
+        entries = [(replace(b, length=2 * b.length), None) for b in data0.blocks]
     else:
         n_model = 2 * r if n_model is None else n_model
-    if n_model <= r:
-        raise ValueError(f"model-function order {n_model} must exceed r = {r}")
-    if n_model > model.n:
-        raise ValueError(f"model-function order {n_model} exceeds model order {model.n}")
-    if max_model_order is not None and n_model > max_model_order:
-        raise ModelOrderExceeded(
-            f"model-function order {n_model} exceeds the cap {max_model_order}")
-
-    state = _BasisState(model, solver)
-    if strategy == "I2":
-        for b in data0.blocks:
-            state.append_block(InterpolationBlock(b.sigma, b.right, b.left, 2 * b.length))
-    else:
-        for b in data0.blocks:
-            state.append_block(b)
-        ones = InterpolationBlock(0.0, np.ones(model.m), np.ones(model.p))
-        for _ in range(n_model - r):
-            idx = state.find_match(ones)
-            if idx is None:
-                state.append_block(ones)
-            else:
-                state.extend_block(idx, 1)
-    return state.assemble(updates=0)
+        if n_model <= r:
+            raise ValueError(f"model-function order {n_model} must exceed r = {r}")
+        entries = [(b, None) for b in data0.blocks]
+        ones = InterpolationBlock(0.0, np.ones(model.m), np.ones(model.p), n_model - r)
+        idx = _find_match(data0.blocks, ones)
+        if idx is None:
+            entries.append((ones, None))
+        else:
+            _extend(entries, idx, ones.length)
+    return _build(model, entries, solver, max_model_order)
 
 
 def update_model_function(model: StateSpaceModel, mf: ModelFunction,
@@ -212,11 +186,12 @@ def update_model_function(model: StateSpaceModel, mf: ModelFunction,
     """Grow or rebuild the model function around new optimal data.
 
     U.1 appends all triplets (repeats extend chains to higher derivatives);
-    U.2 appends only triplets that are new within the shift/angle tolerances;
-    U.3 rebuilds from scratch around ``opt_data`` at constant order.  Returns
-    ``(model_function, columns_added)``.  In every case the resulting history
-    interpolates all of ``opt_data``, which is the update condition that
-    transfers optimality to the full model.
+    U.2 appends only triplets that are new within ``NEW_TRIPLET_TOL``; both
+    match against the history before the update.  U.3 rebuilds from scratch
+    around ``opt_data`` at constant order.  Returns ``(model_function,
+    columns_added)``.  In every case the resulting history interpolates all
+    of ``opt_data``, which is the update condition that transfers optimality
+    to the full model.
     """
     if strategy not in UPDATE_STRATEGIES:
         raise ValueError(f"strategy must be one of {UPDATE_STRATEGIES}")
@@ -228,31 +203,20 @@ def update_model_function(model: StateSpaceModel, mf: ModelFunction,
         keep = mf.history.r if opts.init_strategy == "I1" else None
         new_mf = init_model_function(model, opt_data, opts.init_strategy, keep, solver,
                                      max_model_order=max_model_order)
-        new_mf.updates = mf.updates + 1
         return new_mf, new_mf.history.r
 
-    state = _BasisState.from_model_function(mf, model, solver)
-    # decide before solving anything so the order cap can veto the update
-    actions = []
+    entries = list(zip(mf.history.blocks, mf.columns))
     added = 0
     for b in opt_data.blocks:
-        idx = state.find_match(b)
-        if idx is not None and strategy == "U2":
-            continue
-        actions.append((idx, b))
-        added += b.length
-    new_total = state.total_columns + added
-    if max_model_order is not None and new_total > max_model_order:
-        raise ModelOrderExceeded(
-            f"update would grow the model function to {new_total} > {max_model_order}")
-
-    for idx, b in actions:
+        idx = _find_match(mf.history.blocks, b)
         if idx is None:
-            state.append_block(b)
+            entries.append((b, None))
+        elif strategy == "U2":
+            continue
         else:
-            state.extend_block(idx, b.length)
-    new_mf = state.assemble(updates=mf.updates + 1)
-    return new_mf, added
+            _extend(entries, idx, b.length)
+        added += b.length
+    return _build(model, entries, solver, max_model_order), added
 
 
 # -- verification and estimation ----------------------------------------------
@@ -456,7 +420,7 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
         inner_results.append(inner)
 
         if inner.optimal_data.r == data.r:
-            dist = shift_convergence(data, inner.optimal_data, opts.stop_criterion)
+            dist = shift_convergence(data, inner.optimal_data, OUTER_STOP_CRITERION)
         else:
             dist = np.inf
         data = inner.optimal_data

@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark as bench
-from .cirka import CirkaOptions, cirka, verify_h2_optimality, verify_realization_equivalence
+from .cirka import (
+    OUTER_STOP_CRITERION,
+    CirkaOptions,
+    cirka,
+    verify_h2_optimality,
+    verify_realization_equivalence,
+)
 from .errors import ModelReductionError
 from .interpolation import InterpolationData, verify_tangential_interpolation
 from .irka import IrkaOptions, irka
@@ -43,7 +49,7 @@ def default_config() -> dict:
         "tol": io.tol,
         "max_iter": io.max_iter,
         "irka_stop_criterion": _STOP_LABELS[io.stop_criterion],
-        "cirka_stop_criterion": _STOP_LABELS[co.stop_criterion],
+        "cirka_stop_criterion": _STOP_LABELS[OUTER_STOP_CRITERION],
         "init_strategy": co.init_strategy,
         "update_strategy": co.update_strategy,
         "outer_tol": co.outer_tol,

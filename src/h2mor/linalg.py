@@ -28,6 +28,10 @@ from .model import DENSE_THRESHOLD, StateSpaceModel, make_model
 
 log = logging.getLogger(__name__)
 
+#: Pivoted-QR diagonal entries below this fraction of the leading one count
+#: as dependent columns.
+QR_DROP_TOL = 1e-12
+
 
 @dataclass
 class CostCounters:
@@ -171,16 +175,26 @@ def generalized_eig(Ar: np.ndarray, Er: np.ndarray):
     return lam, X, Y
 
 
-def orthonormalize_real(Vprim: np.ndarray, data, drop_tol: float = 1e-12) -> np.ndarray:
+def orthonormalize_real(Vprim: np.ndarray, data) -> np.ndarray:
     """Fold a conjugate-closed complex basis into a real orthonormal one.
 
     Conjugate column pairs are replaced by (real part, imaginary part), then a
-    column-pivoted QR orthonormalizes.  Columns below ``drop_tol`` times the
-    leading diagonal of R are dropped (logged); the result spans the same real
-    subspace as the primitive basis.
+    column-pivoted QR orthonormalizes.  Columns below ``QR_DROP_TOL`` times
+    the leading diagonal of R are dropped (logged); the result spans the same
+    real subspace as the primitive basis.
     """
-    Vreal = realify_columns(Vprim, data)
-    return _qr_trim(Vreal, drop_tol)
+    M = realify_columns(Vprim, data)
+    Q, R, _ = spla.qr(M, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    if diag.size == 0 or diag[0] == 0.0:
+        raise RankCollapse("basis has numerical rank zero")
+    rank = int(np.sum(diag > QR_DROP_TOL * diag[0]))
+    if rank == 0:
+        raise RankCollapse("basis has numerical rank zero")
+    if rank < M.shape[1]:
+        log.debug("orthonormalization dropped %d dependent column(s) (rank %d of %d)",
+                  M.shape[1] - rank, rank, M.shape[1])
+    return Q[:, :rank]
 
 
 def realify_columns(Vprim: np.ndarray, data) -> np.ndarray:
@@ -204,20 +218,6 @@ def realify_columns(Vprim: np.ndarray, data) -> np.ndarray:
     return out
 
 
-def _qr_trim(M: np.ndarray, drop_tol: float) -> np.ndarray:
-    Q, R, _ = spla.qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        raise RankCollapse("basis has numerical rank zero")
-    rank = int(np.sum(diag > drop_tol * diag[0]))
-    if rank == 0:
-        raise RankCollapse("basis has numerical rank zero")
-    if rank < M.shape[1]:
-        log.debug("orthonormalization dropped %d dependent column(s) (rank %d of %d)",
-                  M.shape[1] - rank, rank, M.shape[1])
-    return Q[:, :rank]
-
-
 def pencil_eigenvalues(model: StateSpaceModel) -> np.ndarray:
     """Generalized eigenvalues of (A, E) for a dense-convertible model."""
     if model.n > DENSE_THRESHOLD:
@@ -239,14 +239,14 @@ def solve_generalized_lyapunov(A, E, B) -> np.ndarray:
     standard continuous Lyapunov equation, solved by the Schur (Bartels-
     Stewart) method.  Dense path only.
     """
+    n = np.shape(A)[0]
+    if n > DENSE_THRESHOLD:
+        raise OrderTooLarge(f"dense Lyapunov limited to order {DENSE_THRESHOLD}, got {n}")
     Ad = A.toarray() if sps.issparse(A) else np.atleast_2d(np.asarray(A, dtype=float))
     Ed = E.toarray() if sps.issparse(E) else np.atleast_2d(np.asarray(E, dtype=float))
     Bd = np.asarray(B, dtype=float)
     if Bd.ndim == 1:
         Bd = Bd.reshape(-1, 1)
-    n = Ad.shape[0]
-    if n > DENSE_THRESHOLD:
-        raise OrderTooLarge(f"dense Lyapunov limited to order {DENSE_THRESHOLD}, got {n}")
 
     lam = spla.eigvals(Ad, Ed)
     if not np.all(np.isfinite(lam)):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.io
 import scipy.sparse as sps
 
 from .errors import DimensionMismatch, IoError, ParseError, UnsupportedField
@@ -143,21 +144,18 @@ def load_matrix_market(path) -> sps.csr_matrix:
     return sps.csr_matrix(M)
 
 
-def write_matrix_market(matrix, path, comment: str | None = None) -> None:
-    """Write a real matrix in coordinate/general format with %.17g values."""
+def write_matrix_market(matrix, path) -> None:
+    """Write a real matrix in coordinate/general format, duplicates summed.
+
+    Values are written by :func:`scipy.io.mmwrite` in their shortest
+    round-trip form, so reading the file back gives the matrix exactly.
+    """
     M = sps.coo_matrix(matrix)
     M.sum_duplicates()
-    order = np.lexsort((M.col, M.row))
     path = Path(path)
     try:
-        with path.open("w") as fh:
-            fh.write("%%MatrixMarket matrix coordinate real general\n")
-            if comment:
-                for line in comment.splitlines():
-                    fh.write(f"% {line}\n")
-            fh.write(f"{M.shape[0]} {M.shape[1]} {M.nnz}\n")
-            for k in order:
-                fh.write(f"{M.row[k] + 1} {M.col[k] + 1} {M.data[k]:.17g}\n")
+        with path.open("wb") as fh:
+            scipy.io.mmwrite(fh, M, field="real", symmetry="general")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from h2mor.benchmark import (
@@ -81,6 +83,17 @@ class TestRunBenchmark:
         # every pole of the chain is complex, so no 3 shifts are conjugate-closed
         rows = run_benchmark({"chain": spring_chain_model(10)}, [3], init="eigs")
         assert rows == []
+
+    def test_cells_skip_optimality_check(self, monkeypatch):
+        # a row reads no optimality report, so CIRKA must not spend LUs on one
+        def fail(*args, **kwargs):
+            raise AssertionError("benchmark cell ran the optimality check")
+
+        # the package attribute h2mor.cirka is the function, not the module
+        monkeypatch.setattr(importlib.import_module("h2mor.cirka"), "verify_h2_optimality", fail)
+        rows = run_benchmark({"toy_a": random_stable_model(24, 1, 1, 600)}, [2],
+                             algorithms=("cirka",))
+        assert len(rows) == 1 and rows[0].n_lu_full >= 1
 
     def test_determinism(self):
         models = small_models()

@@ -18,6 +18,7 @@ from h2mor import (
     verify_tangential_interpolation,
 )
 from h2mor.errors import ModelOrderExceeded, RankCollapse, UnstableRom
+from h2mor.linalg import ShiftedSolver
 
 from .helpers import random_conjugate_data, random_stable_model
 
@@ -77,6 +78,27 @@ class TestInitModelFunction:
         data0 = InterpolationData.zero_init(4, 1, 1)
         with pytest.raises(ModelOrderExceeded):
             init_model_function(model, data0, "I1", 12, max_model_order=10)
+        with pytest.raises(ModelOrderExceeded):      # the model order caps too
+            init_model_function(model, data0, "I1", 21)
+
+    @pytest.mark.parametrize("r, n_model", [(4, 8), (4, 16), (6, 20)])
+    def test_I1_zero_chain_built_once(self, r, n_model):
+        # the zero chain is solved once at its final length: one shifted solve
+        # per column and side, at a single factorization
+        class CountingSolver(ShiftedSolver):
+            solves = 0
+
+            def solve(self, *args, **kwargs):
+                self.solves += 1
+                return super().solve(*args, **kwargs)
+
+        model = random_stable_model(40, 1, 1, 208)
+        solver = CountingSolver(model)
+        mf = init_model_function(model, InterpolationData.zero_init(r, 1, 1), "I1",
+                                 n_model, solver)
+        assert mf.history.r == n_model
+        assert solver.solves == 2 * n_model
+        assert solver.lu_count == 1
 
 
 class TestUpdateModelFunction:
@@ -205,11 +227,16 @@ class TestCirka:
         init = InterpolationData.zero_init(4, 2, 1)
         res = cirka(model, init, tight_opts())
         assert res.converged
-        from h2mor.cirka import _BasisState
+        from h2mor.cirka import _find_match
 
-        state = _BasisState.from_model_function(res.model_function, model, None)
         for b in res.optimal_data.blocks:
-            assert state.find_match(b) is not None
+            assert _find_match(res.model_function.history.blocks, b) is not None
+
+    def test_model_function_above_n_falls_back(self):
+        # I.2 asks for order 2r = 60 > n = 50: the order cap, not a crash
+        model = random_stable_model(50, 1, 1, 500)
+        res = cirka(model, InterpolationData.zero_init(30, 1, 1))
+        assert res.fallback_direct and res.model_function is None
 
     def test_fallback_to_direct_irka(self):
         model = random_stable_model(30, 1, 1, 504)

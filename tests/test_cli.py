@@ -81,6 +81,11 @@ class TestReduce:
         err = capsys.readouterr().err
         assert "cdplayer" in err
 
+    def test_cirka_model_function_above_n(self, model_tree, capsys):
+        # 2r = 26 exceeds n = 24: CIRKA falls back to direct IRKA
+        assert main(["reduce", "--model", "toy24", "--r", "13", "--algo", "cirka"]) == 0
+        assert "k_CIRKA" in capsys.readouterr().out
+
     def test_r_not_below_n(self, model_tree, capsys):
         assert main(["reduce", "--model", "toy24", "--r", "24"]) == 1
 
