@@ -31,6 +31,7 @@ from .irka import IrkaOptions, IrkaResult, irka, shift_convergence
 from .linalg import (
     CostCounters,
     ShiftedSolver,
+    conjugate_pairs,
     is_stable,
     pencil_eigenvalues,
     relative,
@@ -240,10 +241,15 @@ class PoleResidualEntry:
 
 @dataclass(frozen=True)
 class OptimalityReport:
-    """First-order H2 optimality residuals of a reduced model against a full model."""
+    """First-order H2 optimality residuals of a reduced model against a full model.
+
+    ``full_lu`` is the number of full-order factorizations the check took;
+    it is the check's own cost and never enters a run's :class:`CostCounters`.
+    """
 
     entries: tuple
     skipped_unstable: bool
+    full_lu: int
 
     @property
     def max_residual(self) -> float:
@@ -263,22 +269,33 @@ def verify_h2_optimality(full_model: StateSpaceModel,
     c_i^T G(-conj(lambda_i)) and c_i^T G'(-conj(lambda_i)) b_i between full
     and reduced model.  Unstable poles are skipped and flagged; a rom with no
     stable poles at all raises :class:`UnstableRom`.
+
+    A conjugate pair of poles is mirrored from its Im > 0 member, so the two
+    nodes are exact conjugates and share one full-order LU: the check takes
+    one LU per real pole and one per pair, and holds one at a time.
     """
     prf = pole_residue(rom)
-    entries = []
-    any_skipped = False
-    for lam, brow, crow in zip(prf.poles, prf.input_residues, prf.output_residues):
-        if lam.real >= 0.0:
-            any_skipped = True
-            entries.append(PoleResidualEntry(lam, -lam.conjugate(), math.nan, math.nan,
-                                             math.nan, skipped_unstable=True))
-            continue
-        s = -lam.conjugate()
-        rho = triplet_residuals(full_model, rom, s, brow, crow)
-        entries.append(PoleResidualEntry(lam, s, *rho))
-    if any_skipped and all(e.skipped_unstable for e in entries):
+    lam = prf.poles
+    solver = ShiftedSolver(full_model)
+    entries = [None] * len(lam)
+    for group in conjugate_pairs(lam, range(len(lam))):
+        k = group[0] if lam[group[0]].imag > 0 else group[-1]
+        s = -lam[k].conjugate()
+        for i in group:
+            node = s if i == k else s.conjugate()
+            if lam[i].real >= 0.0:
+                entries[i] = PoleResidualEntry(lam[i], node, math.nan, math.nan, math.nan,
+                                               skipped_unstable=True)
+            else:
+                rho = triplet_residuals(full_model, rom, node, prf.input_residues[i],
+                                        prf.output_residues[i], solver)
+                entries[i] = PoleResidualEntry(lam[i], node, *rho)
+        solver.drop_factorizations()
+    skipped = [e.skipped_unstable for e in entries]
+    if all(skipped):
         raise UnstableRom("reduced model has no stable poles to check")
-    return OptimalityReport(tuple(entries), skipped_unstable=any_skipped)
+    return OptimalityReport(tuple(entries), skipped_unstable=any(skipped),
+                            full_lu=solver.lu_count)
 
 
 def estimate_error(mf: ModelFunction, rom: StateSpaceModel):
@@ -412,7 +429,8 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
             raise RankCollapse(f"model function has order {mf.order} after rank trimming, "
                                f"below r = {r}")
         t0 = perf_counter()
-        inner = irka(mf.surrogate, data, opts.inner, ShiftedSolver(mf.surrogate))
+        inner = irka(mf.surrogate, data, opts.inner, ShiftedSolver(mf.surrogate),
+                     require_order=False)
         counters.add_time("optimization", perf_counter() - t0)
         counters.surrogate_lu += inner.counters.full_lu
         counters.surrogate_lu_norecycle += inner.counters.full_lu_norecycle
@@ -438,6 +456,9 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
         inner_results.append(direct)
     else:
         rom = inner_results[-1].rom
+        if rom.n < r:
+            raise RankCollapse(f"reduced model has order {rom.n} after rank trimming, "
+                               f"below r = {r}")
 
     counters.full_lu = solver.lu_count - lu0
     counters.full_lu_norecycle = solver.lu_count_norecycle - lu0n

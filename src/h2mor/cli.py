@@ -204,6 +204,7 @@ def cmd_reduce(args) -> int:
         print(f"relative H2 estimate = {bench.format_float(estimate)}")
     if report is not None:
         print(f"optimality residual = {report.max_residual:.3e}")
+        print(f"n_LU (verification) = {report.full_lu}")
     print(f"optimal shifts: {_fmt_shifts(data)}")
 
     if args.out:
@@ -216,6 +217,7 @@ def cmd_reduce(args) -> int:
             "n_lu_surrogate": counters.surrogate_lu or None,
             "rel_h2_error": rel, "rel_h2_estimate": estimate,
             "optimality_residual": None if report is None else report.max_residual,
+            "n_lu_verify": None if report is None else report.full_lu,
         }
         (out / "result.json").write_text(json.dumps(summary, indent=2) + "\n")
         print(f"wrote rom and results to {out}")

@@ -19,10 +19,11 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as spla
 
-from .errors import NotConjugateClosed, SingularShift
+from .errors import NotConjugateClosed, OrderTooLarge, SingularShift
 from .linalg import ShiftedSolver, orthonormalize_real, relative
-from .model import StateSpaceModel, eval_transfer, eval_transfer_derivative, project
+from .model import DENSE_THRESHOLD, StateSpaceModel, project
 
 log = logging.getLogger(__name__)
 
@@ -317,8 +318,9 @@ def hermite_reduce(model: StateSpaceModel, data: InterpolationData,
 
     Builds both primitive bases, folds them to real orthonormal form, and
     projects.  Returns ``(rom, ProjectionPair)``.  A singular shift is
-    perturbed once ((1+1e-8)*sigma + 1e-8) before giving up; rank-deficient
-    bases are trimmed jointly so V and W keep equal column counts.
+    perturbed once ((1+1e-8)*sigma + 1e-8) before giving up, and the pair
+    then carries the perturbed data; rank-deficient bases are trimmed
+    jointly so V and W keep equal column counts.
     """
     if solver is None:
         solver = ShiftedSolver(model)
@@ -332,7 +334,7 @@ def hermite_reduce(model: StateSpaceModel, data: InterpolationData,
         except SingularShift as exc:
             if attempt or exc.sigma is None:
                 raise
-            log.warning("shift %s hit the spectrum; retrying with perturbed data", exc.sigma)
+            log.debug("shift %s hit the spectrum; retrying with perturbed data", exc.sigma)
             data = data.perturbed(exc.sigma)
 
     rom, V, W = project_real(model, Vp, Wp, data)
@@ -382,19 +384,43 @@ class InterpolationReport:
 
 
 def triplet_residuals(full: StateSpaceModel, rom: StateSpaceModel, s: complex,
-                      right: np.ndarray, left: np.ndarray):
+                      right: np.ndarray, left: np.ndarray,
+                      solver: ShiftedSolver | None = None):
     """Relative residuals of the three bitangential Hermite conditions at s.
 
     Returns ``(rho_right, rho_left, rho_hermite)`` for G(s) r, l^T G(s) and
-    l^T G'(s) r between the full and the reduced model.
+    l^T G'(s) r between the full and the reduced model.  The full model is
+    solved through ``solver`` (a new :class:`ShiftedSolver` when None), so
+    one factorization at s serves G and G' and a conjugate node reuses it;
+    the reduced model is evaluated from one dense LU of its matrices.
     """
-    G = eval_transfer(full, s)
-    Gr = eval_transfer(rom, s)
-    dG = eval_transfer_derivative(full, s)
-    dGr = eval_transfer_derivative(rom, s)
+    if solver is None:
+        solver = ShiftedSolver(full)
+    G, dG = _transfer_and_derivative(full, lambda rhs: solver.solve(s, rhs))
+    Gr, dGr = _transfer_and_derivative(rom, _dense_shifted_solve(rom, s))
     return (relative(np.linalg.norm((G - Gr) @ right), np.linalg.norm(G @ right)),
             relative(np.linalg.norm(left @ (G - Gr)), np.linalg.norm(left @ G)),
             relative(abs(left @ (dG - dGr) @ right), abs(left @ dG @ right)))
+
+
+def _transfer_and_derivative(model: StateSpaceModel, solve):
+    """G(s) and G'(s) from ``solve(rhs) = (A - sE)^{-1} rhs``, one factorization for both.
+
+    With X = (sE - A)^{-1} B: G(s) = C X + D and G'(s) = -C (sE - A)^{-1} E X.
+    """
+    X = -solve(model.B)
+    return model.C @ X + model.D, model.C @ solve(model.E @ X)
+
+
+def _dense_shifted_solve(model: StateSpaceModel, s: complex):
+    """``rhs -> (A - sE)^{-1} rhs`` for a reduced-order model, from one dense LU."""
+    if model.n > DENSE_THRESHOLD:
+        raise OrderTooLarge(f"dense evaluation limited to order {DENSE_THRESHOLD}, "
+                            f"got {model.n}")
+    lu, piv = spla.lu_factor(model.A.toarray() - s * model.E.toarray())
+    if not np.all(np.diag(lu)):
+        raise SingularShift(f"A - sigma E singular at sigma = {s}", sigma=s)
+    return lambda rhs: spla.lu_solve((lu, piv), rhs)
 
 
 def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
@@ -402,8 +428,16 @@ def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
     """Evaluate the three tangential conditions at every block's node.
 
     For chains only the order-0/1 conditions at the chain shift are checked
-    here; higher moments have their own finite-difference tests.
+    here; higher moments have their own finite-difference tests.  A
+    conjugate pair of nodes shares one full-order LU, and one is held at a
+    time.
     """
-    return InterpolationReport(tuple(
-        TripletResidual(b.sigma, *triplet_residuals(full, rom, b.sigma, b.right, b.left))
-        for b in data.blocks))
+    solver = ShiftedSolver(full)
+    entries = [None] * len(data.blocks)
+    for _, *group in data.conjugate_pairing():
+        for i in group:
+            b = data.blocks[i]
+            rho = triplet_residuals(full, rom, b.sigma, b.right, b.left, solver)
+            entries[i] = TripletResidual(b.sigma, *rho)
+        solver.drop_factorizations()
+    return InterpolationReport(tuple(entries))

@@ -14,7 +14,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import CardinalityMismatch, DimensionMismatch, NotConjugateClosed
+from .errors import CardinalityMismatch, DimensionMismatch, NotConjugateClosed, RankCollapse
 from .interpolation import (
     InterpolationBlock,
     InterpolationData,
@@ -56,6 +56,7 @@ class IrkaResult:
     shift_history: list
     counters: CostCounters
     reflected_iterations: list = field(default_factory=list)
+    shift_retries: int = 0
 
 
 def _sorted_column_order(data: InterpolationData) -> np.ndarray:
@@ -191,13 +192,20 @@ def _pad_to_order(data: InterpolationData, r: int) -> InterpolationData:
 
 def irka(model: StateSpaceModel, init: InterpolationData,
          opts: IrkaOptions | None = None,
-         solver: ShiftedSolver | None = None) -> IrkaResult:
+         solver: ShiftedSolver | None = None, *,
+         require_order: bool = True) -> IrkaResult:
     """Iterate interpolation data to a (local) H2-optimal reduced model.
 
     Runs until the stop criterion falls below ``opts.tol`` or ``max_iter`` is
     reached; hitting the iteration cap is reported through
     ``converged=False``, not raised.  ``optimal_data`` holds the mirrored
-    poles and residue tangents of the returned reduced model.
+    poles and residue tangents of the returned reduced model, re-inflated
+    to ``init.r`` columns when the last step lost rank.  A final reduced
+    model of order below ``init.r`` raises :class:`RankCollapse` unless
+    ``require_order`` is False (CIRKA's inner runs, whose next outer step
+    starts from the re-inflated data).  Steps that had to perturb a shift
+    off the spectrum are counted in ``shift_retries`` and summarized in one
+    warning.
     """
     opts = opts or IrkaOptions()
     if solver is None:
@@ -211,13 +219,15 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     data = init
     history = [data]
     reflected_iters: list[int] = []
+    retries = 0
     converged = False
     rom = None
     k = 0
     for k in range(1, opts.max_iter + 1):
         if k > 1:
             solver.drop_factorizations()    # shifts changed; keep memory bounded
-        rom, _ = hermite_reduce(model, data, solver)
+        rom, pair = hermite_reduce(model, data, solver)
+        retries += pair.data is not data
         new_data, reflected = update_interpolation_data(rom)
         if reflected:
             reflected_iters.append(k)
@@ -235,6 +245,12 @@ def irka(model: StateSpaceModel, init: InterpolationData,
             converged = True
             break
 
+    if retries:
+        log.warning("%d of %d IRKA steps perturbed a shift that hit the spectrum",
+                    retries, k)
+    if require_order and rom.n < init.r:
+        raise RankCollapse(f"reduced model has order {rom.n} after rank trimming, "
+                           f"below r = {init.r}")
     counters = CostCounters(
         full_lu=solver.lu_count - lu0,
         full_lu_norecycle=solver.lu_count_norecycle - lu0n,
@@ -243,7 +259,7 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     counters.add_time("optimization", perf_counter() - t0)
     return IrkaResult(rom=rom, optimal_data=data, iterations=k, converged=converged,
                       shift_history=history, counters=counters,
-                      reflected_iterations=reflected_iters)
+                      reflected_iterations=reflected_iters, shift_retries=retries)
 
 
 def initial_data_from_spectrum(model: StateSpaceModel, r: int) -> InterpolationData:

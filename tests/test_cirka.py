@@ -232,11 +232,37 @@ class TestCirka:
         for b in res.optimal_data.blocks:
             assert _find_match(res.model_function.history.blocks, b) is not None
 
-    def test_model_function_above_n_falls_back(self):
-        # I.2 asks for order 2r = 60 > n = 50: the order cap, not a crash
+    def test_model_function_above_n_falls_back(self, caplog):
+        # I.2 asks for order 2r = 60 > n = 50: the order cap, not a crash.
+        # The direct IRKA run it falls back to loses rank (order 16 < 30),
+        # which is an error, not a reduced model of the wrong order.
         model = random_stable_model(50, 1, 1, 500)
-        res = cirka(model, InterpolationData.zero_init(30, 1, 1))
-        assert res.fallback_direct and res.model_function is None
+        with pytest.raises(RankCollapse, match="order 16"):
+            cirka(model, InterpolationData.zero_init(30, 1, 1))
+        assert any("falling back to direct IRKA" in r.getMessage() for r in caplog.records)
+
+    def test_rank_deficient_last_inner_rom_raises(self):
+        # the first inner run on this model's surrogate ends at order 1, and
+        # with one outer step its ROM is the one CIRKA would return
+        model = random_stable_model(50, 1, 1, 506)
+        with pytest.raises(RankCollapse, match="order 1 "):
+            cirka(model, InterpolationData.zero_init(4, 1, 1), tight_opts(outer_max_iter=1))
+
+    def test_shift_retries_counted_once_per_inner_run(self, monkeypatch, caplog):
+        # an inner run on this model's surrogate keeps perturbing a shift
+        # that lands on the surrogate's spectrum
+        calls = []
+        perturbed = InterpolationData.perturbed
+        monkeypatch.setattr(InterpolationData, "perturbed",
+                            lambda data, sigma: calls.append(sigma) or perturbed(data, sigma))
+        model = random_stable_model(50, 2, 2, 507)
+        with caplog.at_level("WARNING", logger="h2mor"):
+            res = cirka(model, InterpolationData.zero_init(4, 2, 2), tight_opts())
+        retries = [ir.shift_retries for ir in res.inner_results]
+        assert sum(retries) == len(calls) > 0
+        summaries = [r for r in caplog.records if "perturbed a shift" in r.getMessage()]
+        assert len(summaries) == sum(1 for n in retries if n)
+        assert not any("retrying" in r.getMessage() for r in caplog.records)
 
     def test_fallback_to_direct_irka(self):
         model = random_stable_model(30, 1, 1, 504)

@@ -3,25 +3,31 @@ import json
 import numpy as np
 import pytest
 
+from h2mor import verify_h2_optimality
 from h2mor.cli import main
 from h2mor.mmio import load_rom_dir, save_rom_dir, write_matrix_market
 
 from .helpers import random_stable_model
 
 
+def register_model(root, monkeypatch, key, model):
+    """Write ``model`` as a manifest + matrix tree under ``root`` on the search path."""
+    d = root / key
+    d.mkdir()
+    for name, M in (("A", model.A), ("B", model.B), ("C", model.C), ("E", model.E)):
+        write_matrix_market(M, d / f"{name}.mtx")
+    (root / f"{key}.json").write_text(json.dumps({
+        "name": key, **{name: f"{key}/{name}.mtx" for name in "ABCE"},
+        "n": model.n, "m": model.m, "p": model.p}))
+    monkeypatch.setenv("H2MOR_MANIFEST_PATH", str(root))
+    monkeypatch.setenv("H2MOR_BENCH_DATA", str(root))
+
+
 @pytest.fixture
 def model_tree(tmp_path, monkeypatch):
     """A synthetic manifest + matrix tree registered on the search path."""
     model = random_stable_model(24, 2, 2, 700)
-    d = tmp_path / "toy24"
-    d.mkdir()
-    for name, M in (("A", model.A), ("B", model.B), ("C", model.C), ("E", model.E)):
-        write_matrix_market(M, d / f"{name}.mtx")
-    (tmp_path / "toy24.json").write_text(json.dumps({
-        "name": "toy24", "A": "toy24/A.mtx", "B": "toy24/B.mtx", "C": "toy24/C.mtx",
-        "E": "toy24/E.mtx", "n": 24, "m": 2, "p": 2}))
-    monkeypatch.setenv("H2MOR_MANIFEST_PATH", str(tmp_path))
-    monkeypatch.setenv("H2MOR_BENCH_DATA", str(tmp_path))
+    register_model(tmp_path, monkeypatch, "toy24", model)
     return model, tmp_path
 
 
@@ -65,6 +71,10 @@ class TestReduce:
         assert (out / "data.json").exists()
         summary = json.loads((out / "result.json").read_text())
         assert summary["algorithm"] == "cirka" and summary["r"] == 4
+        # the check's own LUs are reported apart from the run's
+        assert f"n_LU (verification) = {summary['n_lu_verify']}" in text
+        assert 1 <= summary["n_lu_verify"] <= 4
+        assert summary["n_lu_verify"] == verify_h2_optimality(model_tree[0], rom).full_lu
 
     def test_irka_reduce(self, model_tree, capsys):
         code = main(["reduce", "--model", "toy24", "--r", "4", "--algo", "irka",
@@ -85,6 +95,15 @@ class TestReduce:
         # 2r = 26 exceeds n = 24: CIRKA falls back to direct IRKA
         assert main(["reduce", "--model", "toy24", "--r", "13", "--algo", "cirka"]) == 0
         assert "k_CIRKA" in capsys.readouterr().out
+
+    def test_rank_collapse_is_solver_failure(self, tmp_path, monkeypatch, capsys):
+        # 2r = 60 > n = 50: CIRKA falls back to direct IRKA, whose zero-init
+        # chain keeps rank 16 < 30
+        register_model(tmp_path, monkeypatch, "rs500", random_stable_model(50, 1, 1, 500))
+        assert main(["reduce", "--model", "rs500", "--r", "30", "--algo", "cirka"]) == 2
+        captured = capsys.readouterr()
+        assert "optimal shifts" not in captured.out
+        assert "below r = 30" in captured.err
 
     def test_r_not_below_n(self, model_tree, capsys):
         assert main(["reduce", "--model", "toy24", "--r", "24"]) == 1
