@@ -21,13 +21,14 @@ from .errors import ModelOrderExceeded, RankCollapse, UnstableRom
 from .interpolation import (
     InterpolationBlock,
     InterpolationData,
+    InterpolationReport,
     hermite_reduce,
     primitive_basis,
     project_real,
     same_triplet,
-    triplet_residuals,
+    verify_tangential_interpolation,
 )
-from .irka import IrkaOptions, IrkaResult, irka, shift_convergence
+from .irka import IrkaOptions, IrkaResult, _mirrored_blocks, irka, shift_convergence
 from .linalg import (
     CostCounters,
     ShiftedSolver,
@@ -223,79 +224,27 @@ def update_model_function(model: StateSpaceModel, mf: ModelFunction,
 # -- verification and estimation ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoleResidualEntry:
-    pole: complex
-    mirror: complex
-    rho_right: float
-    rho_left: float
-    rho_hermite: float
-    skipped_unstable: bool = False
-
-    @property
-    def worst(self) -> float:
-        if self.skipped_unstable:
-            return 0.0
-        return max(self.rho_right, self.rho_left, self.rho_hermite)
-
-
-@dataclass(frozen=True)
-class OptimalityReport:
-    """First-order H2 optimality residuals of a reduced model against a full model.
-
-    ``full_lu`` is the number of full-order factorizations the check took;
-    it is the check's own cost and never enters a run's :class:`CostCounters`.
-    """
-
-    entries: tuple
-    skipped_unstable: bool
-    full_lu: int
-
-    @property
-    def max_residual(self) -> float:
-        checked = [e.worst for e in self.entries if not e.skipped_unstable]
-        return max(checked) if checked else math.inf
-
-    def passed(self, tol: float) -> bool:
-        return not self.skipped_unstable and self.max_residual < tol
-
-
 def verify_h2_optimality(full_model: StateSpaceModel,
-                         rom: StateSpaceModel) -> OptimalityReport:
-    """Check the interpolatory optimality conditions at the mirrored rom poles.
+                         rom: StateSpaceModel) -> InterpolationReport:
+    """Check the first-order H2 optimality conditions of ``rom``.
 
-    For each simple pole lambda_i of the rom with residue directions b_i^T,
-    c_i, evaluates the relative residuals of G(-conj(lambda_i)) b_i,
-    c_i^T G(-conj(lambda_i)) and c_i^T G'(-conj(lambda_i)) b_i between full
-    and reduced model.  Unstable poles are skipped and flagged; a rom with no
-    stable poles at all raises :class:`UnstableRom`.
-
-    A conjugate pair of poles is mirrored from its Im > 0 member, so the two
-    nodes are exact conjugates and share one full-order LU: the check takes
-    one LU per real pole and one per pair, and holds one at a time.
+    The conditions are bitangential Hermite interpolation of the full model
+    at the mirrored rom poles -conj(lambda_i), with the residue directions as
+    tangents.  So this is :func:`verify_tangential_interpolation` at the data
+    :func:`~h2mor.irka._mirrored_blocks` builds from the stable poles, one
+    full-order LU per real pole and per conjugate pair.  Unstable poles are
+    left out and set ``skipped_unstable``; a rom with no stable poles at all
+    raises :class:`UnstableRom`.
     """
     prf = pole_residue(rom)
     lam = prf.poles
-    solver = ShiftedSolver(full_model)
-    entries = [None] * len(lam)
-    for group in conjugate_pairs(lam, range(len(lam))):
-        k = group[0] if lam[group[0]].imag > 0 else group[-1]
-        s = -lam[k].conjugate()
-        for i in group:
-            node = s if i == k else s.conjugate()
-            if lam[i].real >= 0.0:
-                entries[i] = PoleResidualEntry(lam[i], node, math.nan, math.nan, math.nan,
-                                               skipped_unstable=True)
-            else:
-                rho = triplet_residuals(full_model, rom, node, prf.input_residues[i],
-                                        prf.output_residues[i], solver)
-                entries[i] = PoleResidualEntry(lam[i], node, *rho)
-        solver.drop_factorizations()
-    skipped = [e.skipped_unstable for e in entries]
-    if all(skipped):
+    groups = conjugate_pairs(lam, range(len(lam)))
+    stable = [g for g in groups if lam[g[0]].real < 0.0]
+    if not stable:
         raise UnstableRom("reduced model has no stable poles to check")
-    return OptimalityReport(tuple(entries), skipped_unstable=any(skipped),
-                            full_lu=solver.lu_count)
+    blocks, _ = _mirrored_blocks(prf, stable)
+    report = verify_tangential_interpolation(full_model, rom, InterpolationData(blocks))
+    return replace(report, skipped_unstable=len(stable) < len(groups))
 
 
 def estimate_error(mf: ModelFunction, rom: StateSpaceModel):
@@ -331,22 +280,21 @@ class EquivalenceReport:
 def verify_realization_equivalence(full_model: StateSpaceModel,
                                    opt_data: InterpolationData,
                                    mf_rom: StateSpaceModel,
-                                   solver: ShiftedSolver | None = None,
-                                   converged: bool = True,
-                                   seed: int = 0) -> EquivalenceReport:
+                                   converged: bool = True) -> EquivalenceReport:
     """Compare the CIRKA rom against direct full-model projection at the same data.
 
     Realizations are compared by transfer function (20 logarithmically spaced
-    points on the imaginary axis plus 5 random complex points), not by
-    matrices.  With ``converged=False`` the report is marked inconclusive.
+    points on the imaginary axis plus 5 random complex points drawn with
+    seed 0), not by matrices.  With ``converged=False`` the report is marked
+    inconclusive.
     """
-    direct, _ = hermite_reduce(full_model, opt_data, solver)
+    direct, _ = hermite_reduce(full_model, opt_data)
     mags = np.abs(opt_data.shifts)
     mags = mags[mags > 0]
     lo = mags.min() / 10 if mags.size else 1e-2
     hi = mags.max() * 10 if mags.size else 1e2
     points = [1j * w for w in np.logspace(np.log10(lo), np.log10(hi), 20)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     scale = math.sqrt(lo * hi)
     for _ in range(5):
         points.append(complex(rng.uniform(0.1, 2.0) * scale,
@@ -369,15 +317,18 @@ class CirkaResult:
     model_function: ModelFunction | None
     optimal_data: InterpolationData
     outer_iterations: int
-    inner_iterations: list
     counters: CostCounters
     error_estimate: float | None
     estimate_used_stable_part: bool | None
-    optimality_report: OptimalityReport | None
+    optimality_report: InterpolationReport | None
     converged: bool
     fallback_direct: bool = False
     new_columns_per_step: list = field(default_factory=list)
     inner_results: list = field(default_factory=list)
+
+    @property
+    def inner_iterations(self) -> list:
+        return [ir.iterations for ir in self.inner_results]
 
 
 def cirka(model: StateSpaceModel, init: InterpolationData,
@@ -479,8 +430,7 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
             log.warning("reduced model has no stable poles; optimality check skipped")
 
     return CirkaResult(rom=rom, model_function=mf, optimal_data=data,
-                       outer_iterations=k, inner_iterations=[ir.iterations for ir in inner_results],
-                       counters=counters, error_estimate=estimate,
+                       outer_iterations=k, counters=counters, error_estimate=estimate,
                        estimate_used_stable_part=used_stable,
                        optimality_report=report, converged=converged,
                        fallback_direct=fallback, new_columns_per_step=new_cols,

@@ -342,15 +342,18 @@ def cmd_verify(args) -> int:
             failed |= not ok
             print(f"interpolation residual = {rep.max_residual:.3e} "
                   f"({'pass' if ok else 'FAIL'} at {args.tol:g})")
+            print(f"n_LU (verification) = {rep.full_lu}")
         if args.check in ("optimality", "all"):
             rep = verify_h2_optimality(model, rom)
             ok = rep.passed(args.tol)
             failed |= not ok
             print(f"optimality residual = {rep.max_residual:.3e} "
                   f"({'pass' if ok else 'FAIL'} at {args.tol:g})")
+            print(f"n_LU (verification) = {rep.full_lu}")
             for e in rep.entries:
-                tag = "skipped (unstable)" if e.skipped_unstable else f"worst {e.worst:.3e}"
-                print(f"  pole {e.pole:.6g}: {tag}")
+                print(f"  pole {-e.sigma.conjugate():.6g}: worst {e.worst:.3e}")
+            if rep.skipped_unstable:
+                print("  unstable poles skipped")
         if args.check in ("equivalence", "all"):
             rep = verify_realization_equivalence(model, data, rom)
             ok = rep.passed(args.tol)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as spla
 
-from .errors import NotConjugateClosed, OrderTooLarge, SingularShift
+from .errors import NotConjugateClosed, OrderTooLarge, ParseError, SingularShift
 from .linalg import ShiftedSolver, orthonormalize_real, relative
 from .model import DENSE_THRESHOLD, StateSpaceModel, project
 
@@ -234,13 +234,17 @@ class InterpolationData:
 
     @classmethod
     def from_jsonable(cls, payload: dict) -> "InterpolationData":
+        """Inverse of :meth:`to_jsonable`; a malformed payload raises :class:`ParseError`."""
         def c(pair):
             return complex(pair[0], pair[1])
 
-        blocks = tuple(
-            InterpolationBlock(c(d["sigma"]), [c(z) for z in d["right"]],
-                               [c(z) for z in d["left"]], int(d["length"]))
-            for d in payload["blocks"])
+        try:
+            blocks = tuple(
+                InterpolationBlock(c(d["sigma"]), [c(z) for z in d["right"]],
+                                   [c(z) for z in d["left"]], int(d["length"]))
+                for d in payload["blocks"])
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed interpolation data: {exc!r}") from exc
         return cls(blocks)
 
     def perturbed(self, sigma: complex) -> "InterpolationData":
@@ -371,31 +375,36 @@ class TripletResidual:
 
 @dataclass(frozen=True)
 class InterpolationReport:
-    """Per-triplet relative interpolation residuals of a reduced model."""
+    """Per-triplet relative interpolation residuals of a reduced model.
+
+    ``full_lu`` is the number of full-order factorizations the check took;
+    it is the check's own cost and never enters a run's :class:`CostCounters`.
+    ``skipped_unstable`` marks an optimality check that left out unstable
+    reduced poles; such a report never passes.
+    """
 
     entries: tuple
+    full_lu: int
+    skipped_unstable: bool = False
 
     @property
     def max_residual(self) -> float:
         return max(e.worst for e in self.entries)
 
     def passed(self, tol: float) -> bool:
-        return self.max_residual < tol
+        return not self.skipped_unstable and self.max_residual < tol
 
 
 def triplet_residuals(full: StateSpaceModel, rom: StateSpaceModel, s: complex,
-                      right: np.ndarray, left: np.ndarray,
-                      solver: ShiftedSolver | None = None):
+                      right: np.ndarray, left: np.ndarray, solver: ShiftedSolver):
     """Relative residuals of the three bitangential Hermite conditions at s.
 
     Returns ``(rho_right, rho_left, rho_hermite)`` for G(s) r, l^T G(s) and
     l^T G'(s) r between the full and the reduced model.  The full model is
-    solved through ``solver`` (a new :class:`ShiftedSolver` when None), so
-    one factorization at s serves G and G' and a conjugate node reuses it;
-    the reduced model is evaluated from one dense LU of its matrices.
+    solved through ``solver``, so one factorization at s serves G and G' and
+    a conjugate node reuses it; the reduced model is evaluated from one
+    dense LU of its matrices.
     """
-    if solver is None:
-        solver = ShiftedSolver(full)
     G, dG = _transfer_and_derivative(full, lambda rhs: solver.solve(s, rhs))
     Gr, dGr = _transfer_and_derivative(rom, _dense_shifted_solve(rom, s))
     return (relative(np.linalg.norm((G - Gr) @ right), np.linalg.norm(G @ right)),
@@ -429,8 +438,8 @@ def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
 
     For chains only the order-0/1 conditions at the chain shift are checked
     here; higher moments have their own finite-difference tests.  A
-    conjugate pair of nodes shares one full-order LU, and one is held at a
-    time.
+    conjugate pair of nodes shares one full-order LU, one is held at a time,
+    and ``full_lu`` counts them.
     """
     solver = ShiftedSolver(full)
     entries = [None] * len(data.blocks)
@@ -440,4 +449,4 @@ def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
             rho = triplet_residuals(full, rom, b.sigma, b.right, b.left, solver)
             entries[i] = TripletResidual(b.sigma, *rho)
         solver.drop_factorizations()
-    return InterpolationReport(tuple(entries))
+    return InterpolationReport(tuple(entries), full_lu=solver.lu_count)

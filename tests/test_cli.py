@@ -3,11 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from h2mor import verify_h2_optimality
+from h2mor import (
+    InterpolationData,
+    make_model,
+    pole_residue,
+    verify_h2_optimality,
+    verify_tangential_interpolation,
+)
 from h2mor.cli import main
 from h2mor.mmio import load_rom_dir, save_rom_dir, write_matrix_market
 
 from .helpers import random_stable_model
+
+#: Interpolation-data payloads that lack a key or nest a scalar where a pair belongs.
+MALFORMED_DATA = [{}, {"blocks": [{"sigma": 1}]}]
 
 
 def register_model(root, monkeypatch, key, model):
@@ -109,8 +118,6 @@ class TestReduce:
         assert main(["reduce", "--model", "toy24", "--r", "24"]) == 1
 
     def test_init_from_file(self, model_tree, tmp_path, capsys):
-        from h2mor import InterpolationData
-
         data = InterpolationData.zero_init(4, 2, 2)
         f = tmp_path / "init.json"
         f.write_text(json.dumps(data.to_jsonable()))
@@ -118,25 +125,72 @@ class TestReduce:
                      "--init", "file", "--init-file", str(f)])
         assert code == 0
 
+    @pytest.mark.parametrize("payload", MALFORMED_DATA)
+    def test_malformed_init_file_is_load_error(self, model_tree, tmp_path, capsys, payload):
+        f = tmp_path / "init.json"
+        f.write_text(json.dumps(payload))
+        code = main(["reduce", "--model", "toy24", "--r", "4", "--algo", "irka",
+                     "--init", "file", "--init-file", str(f)])
+        assert code == 1
+        assert "malformed interpolation data" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_roundtrip_verification_passes(self, model_tree, tmp_path, capsys):
+        model = model_tree[0]
         out = tmp_path / "romdir"
         assert main(["reduce", "--model", "toy24", "--r", "4", "--algo", "cirka",
                      "--tol", "1e-9", "--outer-tol", "1e-8", "--out", str(out)]) == 0
+        capsys.readouterr()
         code = main(["verify", "--model", "toy24", "--rom", str(out),
                      "--check", "all", "--tol", "1e-5"])
         out_text = capsys.readouterr().out
         assert code == 0, out_text
         assert "pass" in out_text
+        # each check reports its own LUs, right after its residual line
+        rom = load_rom_dir(out)
+        data = InterpolationData.from_jsonable(json.loads((out / "data.json").read_text()))
+        lines = out_text.splitlines()
+        for label, rep in (("interpolation", verify_tangential_interpolation(model, rom, data)),
+                           ("optimality", verify_h2_optimality(model, rom))):
+            i = next(k for k, line in enumerate(lines) if line.startswith(label))
+            assert lines[i + 1] == f"n_LU (verification) = {rep.full_lu}"
+        # one line per stable pole, printed as the pole -conj(sigma) of its node
+        printed = [complex(line.split()[1].rstrip(":")) for line in lines
+                   if line.startswith("  pole ")]
+        poles = pole_residue(rom).poles
+        assert len(printed) == len(poles)
+        for a, b in zip(sorted(printed, key=lambda z: (z.real, z.imag)),
+                        sorted(poles, key=lambda z: (z.real, z.imag))):
+            assert abs(a - b) <= 1e-5 * abs(b)
+        assert "unstable poles skipped" not in out_text
+
+    def test_unstable_poles_skipped_line(self, model_tree, tmp_path, capsys):
+        out = tmp_path / "unstable"
+        save_rom_dir(make_model(None, np.diag([-1.0, 0.5]), np.ones((2, 2)),
+                                np.ones((2, 2))), out)
+        code = main(["verify", "--model", "toy24", "--rom", str(out), "--check", "optimality"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 3
+        assert lines[1] == "n_LU (verification) = 1"
+        assert [line.split(":")[0] for line in lines[2:]] == [
+            "  pole -1+0j", "  unstable poles skipped"]
+
+    @pytest.mark.parametrize("payload", MALFORMED_DATA)
+    def test_malformed_data_is_load_error(self, model_tree, tmp_path, capsys, payload):
+        out = tmp_path / "romdir"
+        save_rom_dir(random_stable_model(4, 2, 2, 702), out)
+        f = tmp_path / "data.json"
+        f.write_text(json.dumps(payload))
+        code = main(["verify", "--model", "toy24", "--rom", str(out), "--data", str(f)])
+        assert code == 1
+        assert "malformed interpolation data" in capsys.readouterr().err
 
     def test_perturbed_rom_fails_with_exit_3(self, model_tree, tmp_path, capsys):
         out = tmp_path / "romdir"
         assert main(["reduce", "--model", "toy24", "--r", "4", "--algo", "cirka",
                      "--tol", "1e-9", "--outer-tol", "1e-8", "--out", str(out)]) == 0
         rom = load_rom_dir(out)
-        from h2mor import make_model
-
         perturbed = make_model(rom.E, rom.A * 1.02, rom.B, rom.C, rom.D)
         save_rom_dir(perturbed, out)
         code = main(["verify", "--model", "toy24", "--rom", str(out),

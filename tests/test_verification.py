@@ -21,10 +21,12 @@ from h2mor import (
     irka,
     make_model,
     pole_residue,
+    update_interpolation_data,
     verify_h2_optimality,
     verify_tangential_interpolation,
 )
 from h2mor.errors import OrderTooLarge, SingularShift
+from h2mor.linalg import is_stable
 
 from .helpers import irka_suite_cases, random_conjugate_data, random_stable_model
 
@@ -63,17 +65,40 @@ def test_optimality_residuals_match_eval_transfer(irka_roms):
     checked = 0
     for _, model, res in irka_roms:
         report = verify_h2_optimality(model, res.rom)
+        nodes = np.array([e.sigma for e in report.entries])
         prf = pole_residue(res.rom)
-        for e, pole, brow, crow in zip(report.entries, prf.poles, prf.input_residues,
-                                       prf.output_residues):
-            assert e.pole == pole
-            if e.skipped_unstable:
-                continue
-            assert abs(e.mirror + pole.conjugate()) <= 1e-14 * abs(pole)
+        stable = prf.poles.real < 0
+        assert report.skipped_unstable == (not np.all(stable))
+        assert len(report.entries) == np.sum(stable)
+        for pole, brow, crow in zip(prf.poles[stable], prf.input_residues[stable],
+                                    prf.output_residues[stable]):
+            # entries are matched to poles by their node, the mirrored pole
+            i = int(np.argmin(np.abs(nodes + pole.conjugate())))
+            assert abs(nodes[i] + pole.conjugate()) <= 1e-14 * abs(pole)
+            e = report.entries[i]
             assert_agree((e.rho_right, e.rho_left, e.rho_hermite),
                          reference_residuals(model, res.rom, -pole.conjugate(), brow, crow))
             checked += 1
     assert checked >= 70
+
+
+def test_optimality_nodes_are_the_irka_shifts(irka_roms):
+    """The check and IRKA's update share one mirror rule."""
+    compared = 0
+    for _, model, res in irka_roms:
+        if not is_stable(res.rom):
+            continue
+        data, _ = update_interpolation_data(res.rom)
+        if any(b.length > 1 for b in data.blocks):      # repeated poles
+            continue
+        nodes = [e.sigma for e in verify_h2_optimality(model, res.rom).entries]
+        shifts = list(data.shifts)
+        assert len(nodes) == len(shifts)
+        for a, b in zip(sorted(nodes, key=lambda z: (z.real, z.imag)),
+                        sorted(shifts, key=lambda z: (z.real, z.imag))):
+            assert abs(a - b) <= 1e-14 * abs(b)
+        compared += 1
+    assert compared >= 14
 
 
 def test_interpolation_residuals_match_eval_transfer(irka_roms):
