@@ -144,6 +144,16 @@ def _build(model: StateSpaceModel, entries: list, solver: ShiftedSolver,
 # -- initialization and update strategies ------------------------------------
 
 
+def model_function_order(strategy: str, r: int, n_model: int | None) -> int:
+    """The initial model-function order: 2r by default; I.2 allows only 2r, I.1 any above r."""
+    if strategy == "I2" and n_model not in (None, 2 * r):
+        raise ValueError(f"I.2 fixes the model-function order to 2r = {2 * r}")
+    n_model = 2 * r if n_model is None else n_model
+    if n_model <= r:
+        raise ValueError(f"model-function order {n_model} must exceed r = {r}")
+    return n_model
+
+
 def init_model_function(model: StateSpaceModel, data0: InterpolationData,
                         strategy: str = "I2", n_model: int | None = None,
                         solver: ShiftedSolver | None = None, *,
@@ -162,14 +172,10 @@ def init_model_function(model: StateSpaceModel, data0: InterpolationData,
         solver = ShiftedSolver(model)
     data0.validate(model.m, model.p)
     r = data0.r
+    n_model = model_function_order(strategy, r, n_model)
     if strategy == "I2":
-        if n_model is not None and n_model != 2 * r:
-            raise ValueError(f"I.2 fixes the model-function order to 2r = {2 * r}")
         entries = [(replace(b, length=2 * b.length), None) for b in data0.blocks]
     else:
-        n_model = 2 * r if n_model is None else n_model
-        if n_model <= r:
-            raise ValueError(f"model-function order {n_model} must exceed r = {r}")
         entries = [(b, None) for b in data0.blocks]
         ones = InterpolationBlock(0.0, np.ones(model.m), np.ones(model.p), n_model - r)
         idx = _find_match(data0.blocks, ones)
@@ -388,10 +394,7 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
         counters.irka_steps_total += inner.iterations
         inner_results.append(inner)
 
-        if inner.optimal_data.r == data.r:
-            dist = shift_convergence(data, inner.optimal_data, OUTER_STOP_CRITERION)
-        else:
-            dist = np.inf
+        dist = shift_convergence(data, inner.optimal_data, OUTER_STOP_CRITERION)
         data = inner.optimal_data
         log.debug("cirka outer step %d: data distance %.3e (n_M = %d)", k, dist, mf.order)
         if dist <= opts.outer_tol:

@@ -19,6 +19,7 @@ from .cirka import (
     OUTER_STOP_CRITERION,
     CirkaOptions,
     cirka,
+    model_function_order,
     verify_h2_optimality,
     verify_realization_equivalence,
 )
@@ -140,10 +141,16 @@ def cmd_reduce(args) -> int:
     if args.r < 1:
         print("error: --r must be >= 1", file=sys.stderr)
         return EXIT_LOAD
-    if args.tol <= 0 or args.outer_tol <= 0:
-        print("error: tolerances must be positive", file=sys.stderr)
-        return EXIT_LOAD
     try:
+        inner = IrkaOptions(tol=args.tol, max_iter=args.max_iter,
+                            stop_criterion=_STOP_NAMES[args.stop_criterion])
+        opts = CirkaOptions(inner=inner, init_strategy=args.init_strategy,
+                            update_strategy=args.update_strategy,
+                            initial_nM=args.nm, outer_tol=args.outer_tol,
+                            outer_max_iter=args.outer_max_iter,
+                            max_model_order=args.max_model_order)
+        if args.algo == "cirka":
+            model_function_order(args.init_strategy, args.r, args.nm)
         model, name = _load(args)
         if args.r >= model.n:
             print(f"error: r = {args.r} must be below the model order {model.n}",
@@ -155,14 +162,17 @@ def cmd_reduce(args) -> int:
                 return EXIT_LOAD
             data0 = InterpolationData.from_jsonable(
                 json.loads(Path(args.init_file).read_text()))
+            data0.validate(model.m, model.p)
+            if data0.r != args.r:
+                print(f"error: {args.init_file} holds r = {data0.r} columns, not --r {args.r}",
+                      file=sys.stderr)
+                return EXIT_LOAD
         else:
             data0 = bench.initial_data(model, args.r, args.init)
     except (ModelReductionError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOAD
 
-    inner = IrkaOptions(tol=args.tol, max_iter=args.max_iter,
-                        stop_criterion=_STOP_NAMES[args.stop_criterion])
     try:
         if args.algo == "irka":
             res = irka(model, data0, inner, ShiftedSolver(model))
@@ -175,11 +185,6 @@ def cmd_reduce(args) -> int:
             except ModelReductionError:
                 report = None
         else:
-            opts = CirkaOptions(inner=inner, init_strategy=args.init_strategy,
-                                update_strategy=args.update_strategy,
-                                initial_nM=args.nm, outer_tol=args.outer_tol,
-                                outer_max_iter=args.outer_max_iter,
-                                max_model_order=args.max_model_order)
             res = cirka(model, data0, opts, ShiftedSolver(model))
             rom, data = res.rom, res.optimal_data
             counters, converged = res.counters, res.converged

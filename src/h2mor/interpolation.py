@@ -183,31 +183,27 @@ class InterpolationData:
     # -- conjugate structure -------------------------------------------------
 
     def conjugate_pairing(self):
-        """Pair blocks under conjugation: ('real', i) or ('pair', i, j) entries.
+        """Group blocks under conjugation, in block order.
 
-        Raises :class:`NotConjugateClosed` when a complex block has no partner.
+        A self-conjugate block gives ``(i,)``, a complex block and its
+        conjugate partner ``(i, j)``: the format of
+        :func:`~h2mor.linalg.conjugate_pairs`.  Raises
+        :class:`NotConjugateClosed` when a complex block has no partner.
         """
         unused = set(range(len(self.blocks)))
         pairing = []
         for i, b in enumerate(self.blocks):
             if i not in unused:
                 continue
-            if b.is_self_conjugate():
-                unused.discard(i)
-                pairing.append(("real", i))
-                continue
-            partner = None
-            for j in sorted(unused):
-                if j != i and b.is_conjugate_of(self.blocks[j]):
-                    partner = j
-                    break
-            if partner is None:
-                raise NotConjugateClosed(
-                    f"block at sigma = {b.sigma} has no conjugate partner"
-                )
             unused.discard(i)
+            if b.is_self_conjugate():
+                pairing.append((i,))
+                continue
+            partner = next((j for j in sorted(unused) if b.is_conjugate_of(self.blocks[j])), None)
+            if partner is None:
+                raise NotConjugateClosed(f"block at sigma = {b.sigma} has no conjugate partner")
             unused.discard(partner)
-            pairing.append(("pair", i, partner))
+            pairing.append((i, partner))
         return pairing
 
     def validate(self, m: int | None = None, p: int | None = None) -> None:
@@ -443,7 +439,7 @@ def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
     """
     solver = ShiftedSolver(full)
     entries = [None] * len(data.blocks)
-    for _, *group in data.conjugate_pairing():
+    for group in data.conjugate_pairing():
         for i in group:
             b = data.blocks[i]
             rho = triplet_residuals(full, rom, b.sigma, b.right, b.left, solver)

@@ -9,7 +9,7 @@ At a fixed point the first-order H2 optimality conditions hold.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -20,7 +20,6 @@ from .interpolation import (
     InterpolationData,
     angle_distance,
     hermite_reduce,
-    same_triplet,
 )
 from .linalg import CostCounters, ShiftedSolver, conjugate_pairs, relative
 from .model import StateSpaceModel, pole_residue
@@ -88,41 +87,22 @@ def shift_convergence(prev: InterpolationData, new: InterpolationData,
     return float(dist)
 
 
-def _merge_repeats(blocks, tol: float = 1e-8):
-    """Fold coincident (shift, tangents) triplets into Jordan chains.
-
-    Mirrored poles of a nearly defective reduced model repeat; duplicate
-    primitive columns would collapse the basis rank, while a chain keeps the
-    order and interpolates higher derivatives at the repeated node.  Merging
-    is conjugation-symmetric, so closure is preserved.
-    """
-    merged: list[InterpolationBlock] = []
-    for b in blocks:
-        for i, mb in enumerate(merged):
-            if same_triplet(mb, b, tol, tol):
-                merged[i] = InterpolationBlock(mb.sigma, mb.right, mb.left,
-                                               mb.length + b.length)
-                break
-        else:
-            merged.append(b)
-    return tuple(merged)
-
-
 def update_interpolation_data(rom: StateSpaceModel):
     """Interpolation data from a reduced model's pole/residue form.
 
     Returns ``(data, reflected)``: shifts are the mirrored poles
     -conj(lambda_i) with tangents from the residue directions; any shift
     landing in the closed left half-plane has its real part reflected to
-    positive, with ``reflected=True`` flagging the event.  Repeated triplets
-    (numerically multiple poles) become Jordan chains so the order is kept.
-    The output is exactly conjugate-closed.
+    positive, with ``reflected=True`` flagging the event.  There is one
+    column per pole and repeated poles are not merged, so a rom whose bases
+    lost rank gives fewer columns than the data it came from (:func:`irka`
+    re-inflates them).  The output is exactly conjugate-closed.
     """
     prf = pole_residue(rom)
     lam = prf.poles
     groups = conjugate_pairs(lam, np.lexsort((np.abs(lam.imag), lam.real)))
     blocks, reflected = _mirrored_blocks(prf, groups)
-    return InterpolationData(_merge_repeats(blocks)), reflected
+    return InterpolationData(blocks), reflected
 
 
 def _mirrored_blocks(prf, groups):
@@ -156,38 +136,25 @@ def _pad_to_order(data: InterpolationData, r: int) -> InterpolationData:
 
     A rank-trimmed iterate yields fewer mirrored poles than requested; longer
     chains at the surviving nodes add higher-moment directions, restoring the
-    order without inventing new shifts.  Conjugate pairs are extended
-    symmetrically to keep closure.
+    order without inventing new shifts.  Each round visits the conjugate
+    groups in order and grows a real chain by one column, or each member of
+    a pair by one column, while the deficit allows.  A deficit no group can
+    fill (odd, with only pairs left) raises :class:`RankCollapse`.
     """
+    lengths = [b.length for b in data.blocks]
+    groups = data.conjugate_pairing()
     deficit = r - data.r
-    if deficit <= 0:
-        return data
-    blocks = list(data.blocks)
-    pairing = data.conjugate_pairing()
     while deficit > 0:
-        bumped = False
-        for kind, *idx in pairing:
-            if deficit == 0:
-                break
-            if kind == "real":
-                (i,) = idx
-                b = blocks[i]
-                blocks[i] = InterpolationBlock(b.sigma, b.right, b.left, b.length + 1)
-                deficit -= 1
-                bumped = True
-            elif deficit >= 2:
-                i, j = idx
-                for t in (i, j):
-                    b = blocks[t]
-                    blocks[t] = InterpolationBlock(b.sigma, b.right, b.left, b.length + 1)
-                deficit -= 2
-                bumped = True
-        if not bumped:
-            # odd deficit with only complex pairs left: add a fresh real node
-            sigma = 1.0 + float(np.max(np.abs(data.shifts.real)))
-            blocks.append(InterpolationBlock(sigma, np.ones(data.m), np.ones(data.p)))
-            deficit -= 1
-    return InterpolationData(tuple(blocks))
+        before = deficit
+        for group in groups:
+            if len(group) <= deficit:
+                for i in group:
+                    lengths[i] += 1
+                deficit -= len(group)
+        if deficit == before:
+            raise RankCollapse(f"cannot grow {data.r} columns to r = {r} by "
+                               "extending conjugate pairs")
+    return InterpolationData(tuple(replace(b, length=q) for b, q in zip(data.blocks, lengths)))
 
 
 def irka(model: StateSpaceModel, init: InterpolationData,

@@ -189,8 +189,6 @@ def orthonormalize_real(Vprim: np.ndarray, data) -> np.ndarray:
     if diag.size == 0 or diag[0] == 0.0:
         raise RankCollapse("basis has numerical rank zero")
     rank = int(np.sum(diag > QR_DROP_TOL * diag[0]))
-    if rank == 0:
-        raise RankCollapse("basis has numerical rank zero")
     if rank < M.shape[1]:
         log.debug("orthonormalization dropped %d dependent column(s) (rank %d of %d)",
                   M.shape[1] - rank, rank, M.shape[1])
@@ -198,23 +196,19 @@ def orthonormalize_real(Vprim: np.ndarray, data) -> np.ndarray:
 
 
 def realify_columns(Vprim: np.ndarray, data) -> np.ndarray:
-    """Replace conjugate column pairs by real/imaginary parts (span preserved)."""
+    """Replace conjugate column pairs by real/imaginary parts (span preserved).
+
+    For a conjugate pair ``(i, j)`` of chains, chain i's columns give the real
+    parts and chain j's slots take the imaginary parts.
+    """
     Vprim = np.asarray(Vprim)
     offsets = data.column_offsets
     out = np.empty(Vprim.shape, dtype=float)
-    for kind, *idx in data.conjugate_pairing():
-        if kind == "real":
-            (i,) = idx
-            b = data.blocks[i]
-            cols = slice(offsets[i], offsets[i] + b.length)
-            out[:, cols] = Vprim[:, cols].real
-        else:
-            i, j = idx
-            b = data.blocks[i]
-            for k in range(b.length):
-                col = Vprim[:, offsets[i] + k]
-                out[:, offsets[i] + k] = col.real
-                out[:, offsets[j] + k] = col.imag
+    for group in data.conjugate_pairing():
+        cols = [slice(offsets[i], offsets[i] + data.blocks[i].length) for i in group]
+        out[:, cols[0]] = Vprim[:, cols[0]].real
+        if len(group) == 2:
+            out[:, cols[1]] = Vprim[:, cols[0]].imag
     return out
 
 

@@ -18,6 +18,19 @@ from .helpers import random_stable_model
 #: Interpolation-data payloads that lack a key or nest a scalar where a pair belongs.
 MALFORMED_DATA = [{}, {"blocks": [{"sigma": 1}]}]
 
+#: ``reduce --r 4`` arguments and ``--init file`` data (or None) that the parser
+#: accepts but the options or the model rule out; the model has m = p = 2.
+REJECTED_REDUCE_INPUTS = [
+    pytest.param(["--max-iter", "0"], None, id="max-iter-0"),
+    pytest.param(["--outer-max-iter", "0"], None, id="outer-max-iter-0"),
+    pytest.param(["--nm", "5"], None, id="I2-nm-not-2r"),
+    pytest.param(["--init-strategy", "I1", "--nm", "3"], None, id="I1-nm-below-r"),
+    pytest.param([], InterpolationData.zero_init(4, 3, 2), id="file-tangent-size"),
+    pytest.param([], InterpolationData.simple([1 + 1j, 1 - 2j, 2, 3], np.ones((4, 2)),
+                                              np.ones((4, 2))), id="file-not-closed"),
+    pytest.param([], InterpolationData.zero_init(2, 2, 2), id="file-r-2"),
+]
+
 
 def register_model(root, monkeypatch, key, model):
     """Write ``model`` as a manifest + matrix tree under ``root`` on the search path."""
@@ -133,6 +146,21 @@ class TestReduce:
                      "--init", "file", "--init-file", str(f)])
         assert code == 1
         assert "malformed interpolation data" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("extra, init", REJECTED_REDUCE_INPUTS)
+    def test_rejected_input_is_load_error(self, model_tree, tmp_path, capsys, extra, init):
+        argv = ["reduce", "--model", "toy24", "--r", "4", "--algo", "cirka",
+                "--out", str(tmp_path / "romdir"), *extra]
+        if init is not None:
+            f = tmp_path / "init.json"
+            f.write_text(json.dumps(init.to_jsonable()))
+            argv += ["--init", "file", "--init-file", str(f)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "romdir").exists()
 
 
 class TestVerify:

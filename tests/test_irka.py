@@ -14,7 +14,9 @@ from h2mor import (
     verify_h2_optimality,
     verify_tangential_interpolation,
 )
-from h2mor.errors import CardinalityMismatch, DimensionMismatch
+from h2mor.errors import CardinalityMismatch, DimensionMismatch, RankCollapse
+from h2mor.interpolation import InterpolationBlock
+from h2mor.irka import _pad_to_order
 
 from .helpers import random_conjugate_data, random_stable_model
 
@@ -150,6 +152,31 @@ class TestIrka:
             IrkaOptions(max_iter=0)
         with pytest.raises(ValueError):
             IrkaOptions(stop_criterion="bogus")
+
+
+class TestPadToOrder:
+    REAL = InterpolationBlock(0.5, [1.0, 2.0], [3.0])
+    PAIR = InterpolationBlock(1 + 2j, [1.0, 1j], [2 - 1j])
+
+    @pytest.mark.parametrize("blocks, deficit, lengths", [
+        ((REAL, PAIR, PAIR.conjugate()), 3, [2, 2, 2]),
+        ((REAL, PAIR, PAIR.conjugate()), 4, [3, 2, 2]),
+        ((PAIR, PAIR.conjugate(), REAL), 1, [1, 1, 2]),
+        ((REAL,), 5, [6]),
+    ])
+    def test_round_robin_over_conjugate_groups(self, blocks, deficit, lengths):
+        data = InterpolationData(blocks)
+        padded = _pad_to_order(data, data.r + deficit)
+        assert [b.length for b in padded.blocks] == lengths
+        for old, new in zip(data.blocks, padded.blocks):
+            assert new.sigma == old.sigma
+            assert np.array_equal(new.right, old.right) and np.array_equal(new.left, old.left)
+        padded.validate(2, 1)
+
+    def test_lone_pair_with_odd_deficit_raises(self):
+        data = InterpolationData((self.PAIR, self.PAIR.conjugate()))
+        with pytest.raises(RankCollapse):
+            _pad_to_order(data, 5)
 
 
 class TestSpectrumInitialization:
