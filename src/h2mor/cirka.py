@@ -71,10 +71,12 @@ class CirkaOptions:
             raise ValueError(f"init_strategy must be one of {INIT_STRATEGIES}")
         if self.update_strategy not in UPDATE_STRATEGIES:
             raise ValueError(f"update_strategy must be one of {UPDATE_STRATEGIES}")
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be positive")
+        if not (np.isfinite(self.outer_tol) and self.outer_tol > 0):
+            raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol}")
         if self.outer_max_iter < 1:
             raise ValueError("outer_max_iter must be >= 1")
+        if self.max_model_order is not None and self.max_model_order < 1:
+            raise ValueError("max_model_order must be >= 1")
 
 
 @dataclass(eq=False)

@@ -150,7 +150,10 @@ def cmd_reduce(args) -> int:
                             outer_max_iter=args.outer_max_iter,
                             max_model_order=args.max_model_order)
         if args.algo == "cirka":
-            model_function_order(args.init_strategy, args.r, args.nm)
+            n_model = model_function_order(args.init_strategy, args.r, args.nm)
+            if args.max_model_order is not None and args.max_model_order < n_model:
+                raise ValueError(f"--max-model-order {args.max_model_order} is below the "
+                                 f"initial model-function order {n_model}")
         model, name = _load(args)
         if args.r >= model.n:
             print(f"error: r = {args.r} must be below the model order {model.n}",

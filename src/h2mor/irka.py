@@ -38,8 +38,8 @@ class IrkaOptions:
     stop_criterion: str = "shifts_only"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.stop_criterion not in STOP_CRITERIA:

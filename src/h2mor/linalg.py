@@ -68,6 +68,15 @@ class ShiftedSolver:
     ``lu_count`` increments exactly once per factorization actually computed;
     ``lu_count_norecycle`` counts distinct (shift, mode) requests, i.e. the
     worst-case number of factorizations without any recycling.
+
+    Every pencil A - sigma E lives on the joint sparsity pattern of A and E,
+    so it is assembled as one array operation on that pattern, and one
+    fill-reducing column ordering serves all shifts.  The first factorization
+    chooses the ordering (minimum degree on the pattern of M^T + M, which
+    suits the structurally symmetric pencils of discretized models); the
+    second puts the columns of A and E in that order, once, and every later
+    shift factorizes the permuted pencil without reordering.  ``solve`` maps
+    the permutation back.  The ordering outlives :meth:`drop_factorizations`.
     """
 
     def __init__(self, model: StateSpaceModel):
@@ -76,16 +85,19 @@ class ShiftedSolver:
         self.lu_count_norecycle = 0
         self._cache = {}
         self._requested = set()
+        self._pencil = None       # (indptr, indices, a, e), see _joint_pattern
+        self._columns = None      # column order chosen by the first factorization
+        self._reordered = False   # whether the pencil's columns are in that order
 
     def solve(self, sigma: complex, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
         """Return (A - sigma E)^{-1} rhs, or the transposed solve."""
         sigma = complex(sigma)
         flip = sigma.imag < 0.0
         key = sigma.conjugate() if flip else sigma
-        lu = self._cache.get(key)
-        if lu is None:
-            lu = self._factorize(key)
-            self._cache[key] = lu
+        entry = self._cache.get(key)
+        if entry is None:
+            entry = self._factorize(key)
+            self._cache[key] = entry
             self.lu_count += 1
         if (sigma, transposed) not in self._requested:
             self._requested.add((sigma, transposed))
@@ -96,21 +108,70 @@ class ShiftedSolver:
         R = rhs.reshape(-1, 1) if single else rhs
         if flip:
             R = R.conj()
-        X = lu.solve(R, trans="T" if transposed else "N")
+        lu, columns = entry
+        if columns is None:
+            X = lu.solve(R, trans="T" if transposed else "N")
+        elif transposed:
+            X = lu.solve(R[columns], trans="T")      # (M P)^T x = P^T b
+        else:
+            X = np.empty_like(R)
+            X[columns] = lu.solve(R)                 # M P y = b, x = P y
         if flip:
             X = X.conj()
         return X[:, 0] if single else X
 
     def _factorize(self, sigma):
-        M = (self.model.A - sigma * self.model.E).astype(complex).tocsc()
+        """LU of A - sigma E, and the column order it was taken in (None: the model's own)."""
+        if self._columns is None:
+            self._pencil = _joint_pattern(self.model.A, self.model.E)
+            lu = self._splu(sigma, "MMD_AT_PLUS_A")
+            self._columns = np.argsort(lu.perm_c)
+            return lu, None
+        if not self._reordered:
+            self._pencil = _permute_columns(*self._pencil, self._columns)
+            self._reordered = True
+        return self._splu(sigma, "NATURAL"), self._columns
+
+    def _splu(self, sigma, ordering):
+        indptr, indices, a, e = self._pencil
+        M = sps.csc_matrix((a - sigma * e, indices, indptr), shape=self.model.A.shape)
         try:
-            return splu(M)
+            return splu(M, permc_spec=ordering)
         except RuntimeError as exc:
             raise SingularShift(f"A - sigma E singular at sigma = {sigma}", sigma=sigma) from exc
 
     def drop_factorizations(self) -> None:
         """Release cached factorizations; all counters keep their values."""
         self._cache.clear()
+
+
+def _joint_pattern(A, E):
+    """A and E stored on the union of their CSC patterns: ``(indptr, indices, a, e)``.
+
+    A - sigma E is then ``a - sigma * e`` on that pattern at every shift.  An
+    entry of only one of the two holds an explicit zero in the other and stays
+    in the pattern even where the pencil's value is zero (sigma = 0).
+    """
+    n = A.shape[0]
+    keys = np.concatenate([np.repeat(np.arange(n) * n, np.diff(M.indptr)) + M.indices
+                           for M in (A, E)])
+    order = np.argsort(keys, kind="stable")     # merges the two sorted runs
+    ordered = keys[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    joint = ordered[first]
+    a = np.bincount(slot[:A.nnz], weights=A.data, minlength=joint.size)
+    e = np.bincount(slot[A.nnz:], weights=E.data, minlength=joint.size)
+    return np.searchsorted(joint, np.arange(n + 1) * n), joint % n, a, e
+
+
+def _permute_columns(indptr, indices, a, e, columns):
+    """The joint pattern with column j taken from column ``columns[j]``."""
+    counts = np.diff(indptr)[columns]
+    new_indptr = np.concatenate(([0], np.cumsum(counts)))
+    take = np.arange(new_indptr[-1]) + np.repeat(indptr[columns] - new_indptr[:-1], counts)
+    return new_indptr, indices[take], a[take], e[take]
 
 
 def relative(num: float, den: float) -> float:

@@ -180,6 +180,12 @@ class TestUpdateModelFunction:
 
 
 class TestCirka:
+    @pytest.mark.parametrize("bad", [dict(outer_tol=0.0), dict(outer_tol=np.inf),
+                                     dict(outer_tol=np.nan), dict(max_model_order=0)])
+    def test_option_validation(self, bad):
+        with pytest.raises(ValueError):
+            CirkaOptions(**bad)
+
     def test_siso_run_and_reporting(self):
         model = random_stable_model(50, 1, 1, 501)
         init = InterpolationData.zero_init(4, 1, 1)
@@ -250,12 +256,13 @@ class TestCirka:
 
     def test_shift_retries_counted_once_per_inner_run(self, monkeypatch, caplog):
         # an inner run on this model's surrogate keeps perturbing a shift
-        # that lands on the surrogate's spectrum
+        # that lands on the surrogate's spectrum, under either column ordering
+        # of the full-order LU (COLAMD: 27 retries, minimum degree: 58)
         calls = []
         perturbed = InterpolationData.perturbed
         monkeypatch.setattr(InterpolationData, "perturbed",
                             lambda data, sigma: calls.append(sigma) or perturbed(data, sigma))
-        model = random_stable_model(50, 2, 2, 507)
+        model = random_stable_model(50, 2, 2, 502)
         with caplog.at_level("WARNING", logger="h2mor"):
             res = cirka(model, InterpolationData.zero_init(4, 2, 2), tight_opts())
         retries = [ir.shift_retries for ir in res.inner_results]

@@ -25,6 +25,14 @@ REJECTED_REDUCE_INPUTS = [
     pytest.param(["--outer-max-iter", "0"], None, id="outer-max-iter-0"),
     pytest.param(["--nm", "5"], None, id="I2-nm-not-2r"),
     pytest.param(["--init-strategy", "I1", "--nm", "3"], None, id="I1-nm-below-r"),
+    pytest.param(["--tol", "inf"], None, id="tol-inf"),
+    pytest.param(["--tol", "nan"], None, id="tol-nan"),
+    pytest.param(["--outer-tol", "inf"], None, id="outer-tol-inf"),
+    pytest.param(["--outer-tol", "nan"], None, id="outer-tol-nan"),
+    pytest.param(["--max-model-order", "-1"], None, id="max-model-order-negative"),
+    pytest.param(["--max-model-order", "7"], None, id="max-model-order-below-2r"),
+    pytest.param(["--init-strategy", "I1", "--nm", "6", "--max-model-order", "5"], None,
+                 id="max-model-order-below-I1-nm"),
     pytest.param([], InterpolationData.zero_init(4, 3, 2), id="file-tangent-size"),
     pytest.param([], InterpolationData.simple([1 + 1j, 1 - 2j, 2, 3], np.ones((4, 2)),
                                               np.ones((4, 2))), id="file-not-closed"),

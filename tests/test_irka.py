@@ -148,6 +148,9 @@ class TestIrka:
     def test_option_validation(self):
         with pytest.raises(ValueError):
             IrkaOptions(tol=0.0)
+        for tol in (np.inf, np.nan):
+            with pytest.raises(ValueError):
+                IrkaOptions(tol=tol)
         with pytest.raises(ValueError):
             IrkaOptions(max_iter=0)
         with pytest.raises(ValueError):

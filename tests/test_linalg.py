@@ -21,10 +21,11 @@ from h2mor.errors import (
     SingularShift,
     UnstablePencil,
 )
+from h2mor import linalg
 from h2mor.interpolation import InterpolationData, primitive_basis
 from h2mor.linalg import CostCounters, pencil_eigenvalues
 
-from .helpers import random_conjugate_data, random_stable_model
+from .helpers import random_conjugate_data, random_stable_model, spring_chain_model
 
 
 class TestShiftedSolver:
@@ -88,6 +89,99 @@ class TestShiftedSolver:
         solver.drop_factorizations()
         solver.solve(1.0, np.ones(20))
         assert solver.lu_count == 2
+
+
+def grid_model(N, convection):
+    """Five-point diffusion on an N x N grid (symmetric), plus central-difference
+    convection when asked (same pattern, unsymmetric values); E = I."""
+    h = 1.0 / (N + 1)
+    one = np.ones(N)
+    lap = sps.diags([one[1:], -2.0 * one, one[1:]], [-1, 0, 1]) / h**2
+    dif = sps.diags([-one[1:], one[1:]], [-1, 1]) / (2.0 * h)
+    I = sps.identity(N)
+    A = 0.01 * (sps.kron(lap, I) + sps.kron(I, lap))
+    if convection:
+        A = A - 5.0 * sps.kron(dif, I) - 2.0 * sps.kron(I, dif)
+    B = np.random.default_rng(N).standard_normal((N * N, 2))
+    return make_model(None, A.tocsc(), B, B.T)
+
+
+SOLVER_MODELS = {
+    "heat2d": lambda: grid_model(12, convection=False),
+    "cd2d": lambda: grid_model(12, convection=True),
+    # A has no entries in E's identity block, so A - 0 E is zero on a part of
+    # the pattern that every other shift fills
+    "spring-chain": lambda: spring_chain_model(40, seed=3),
+}
+
+
+class TestShiftedSolverOrdering:
+    """One fill-reducing ordering per solver, reused at every later shift."""
+
+    @pytest.mark.parametrize("shifts", [(0.5, 1 + 2j, 1 - 2j, 0.0), (0.0, 1 - 2j, 0.5, 1 + 2j)],
+                             ids=["real-first", "zero-first"])
+    @pytest.mark.parametrize("name", SOLVER_MODELS)
+    def test_residuals_and_factorization_calls(self, monkeypatch, name, shifts):
+        model = SOLVER_MODELS[name]()
+        orderings = []
+        real_splu = linalg.splu
+        monkeypatch.setattr(linalg, "splu", lambda M, *a, **k: orderings.append(
+            k.get("permc_spec")) or real_splu(M, *a, **k))
+        solver = ShiftedSolver(model)
+        rhs = np.random.default_rng(5).standard_normal((model.n, 2)) * (1 + 0.5j)
+        for sigma in shifts:
+            before = solver.lu_count
+            M = (model.A - sigma * model.E).toarray()
+            for transposed in (False, True):
+                x = solver.solve(sigma, rhs, transposed=transposed)
+                res = (M.T if transposed else M) @ x - rhs
+                assert np.linalg.norm(res) < 1e-12 * np.linalg.norm(rhs), (sigma, transposed)
+            if np.conj(sigma) in shifts[:shifts.index(sigma)]:
+                assert solver.lu_count == before      # the conjugate's LU is reused
+        assert solver.lu_count == 3
+        solver.drop_factorizations()
+        solver.solve(shifts[-1], rhs[:, 0])            # refactorized in the kept ordering
+        assert len(orderings) == solver.lu_count == 4
+        assert orderings[0] != "NATURAL"
+        assert orderings[1:] == ["NATURAL"] * 3
+
+    @pytest.mark.parametrize("name", SOLVER_MODELS)
+    def test_joint_pattern_holds_the_pencil_exactly(self, name):
+        model = SOLVER_MODELS[name]()
+        columns = np.random.default_rng(0).permutation(model.n)
+        pencil = linalg._joint_pattern(model.A, model.E)
+        for sigma in (0.0, 0.5, 1 + 2j):
+            ref = (model.A - sigma * model.E).toarray()
+            for (indptr, indices, a, e), cols in ((pencil, slice(None)),
+                                                  (linalg._permute_columns(*pencil, columns),
+                                                   columns)):
+                M = sps.csc_matrix((a - sigma * e, indices, indptr), shape=ref.shape)
+                assert np.array_equal(M.toarray(), ref[:, cols])
+
+    def test_duplicate_entries_are_summed(self):
+        # CSC storage may repeat an entry; the pencil holds the sum, as A itself does
+        A = sps.csc_matrix((np.array([-1.0, -1.0, -3.0, 0.5]), np.array([0, 0, 1, 0]),
+                            np.array([0, 2, 4])), shape=(2, 2))
+        model = make_model(sps.identity(2, format="csc"), A, np.ones((2, 1)), np.ones((1, 2)))
+        solver = ShiftedSolver(model)
+        for sigma in (1.0, 2 + 1j):
+            x = solver.solve(sigma, np.ones(2))
+            assert np.allclose((A.toarray() - sigma * np.eye(2)) @ x, np.ones(2), atol=1e-14)
+
+    @pytest.mark.parametrize("name", ["heat2d", "cd2d"])
+    def test_reused_ordering_keeps_minimum_degree_fill(self, monkeypatch, name):
+        # every shift of a grid pencil has one pattern, so the reused ordering
+        # gives the fill of a fresh minimum-degree ordering at that shift
+        model = SOLVER_MODELS[name]()
+        factors = []
+        real_splu = linalg.splu
+        monkeypatch.setattr(linalg, "splu",
+                            lambda M, *a, **k: factors.append(real_splu(M, *a, **k)) or factors[-1])
+        solver = ShiftedSolver(model)
+        for sigma in (0.5, 1 + 2j):
+            solver.solve(sigma, np.ones(model.n))
+        fresh = real_splu((model.A - (1 + 2j) * model.E).tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert factors[1].L.nnz + factors[1].U.nnz == fresh.L.nnz + fresh.U.nnz
 
 
 class TestCostCounters:
