@@ -348,7 +348,9 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
     surrogate, warm-starting each inner run with the previous optimal data,
     until the optimal data stops moving (``outer_tol``) or ``outer_max_iter``
     is hit.  If an update would exceed ``max_model_order``, the run falls
-    back to direct IRKA on the full model and flags it.
+    back to direct IRKA on the full model, flags it and adds that run's time
+    to its counters.  Inner steps that perturbed a shift off the spectrum
+    are summarized in one warning per run.
     """
     opts = opts or CirkaOptions()
     if solver is None:
@@ -389,7 +391,7 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
                                f"below r = {r}")
         t0 = perf_counter()
         inner = irka(mf.surrogate, data, opts.inner, ShiftedSolver(mf.surrogate),
-                     require_order=False)
+                     inner_run=True)
         counters.add_time("optimization", perf_counter() - t0)
         counters.surrogate_lu += inner.counters.full_lu
         counters.surrogate_lu_norecycle += inner.counters.full_lu_norecycle
@@ -403,8 +405,13 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
             converged = True
             break
 
+    retries = sum(ir.shift_retries for ir in inner_results)
+    if retries:
+        log.warning("%d of %d inner IRKA steps perturbed a shift that hit the spectrum",
+                    retries, counters.irka_steps_total)
     if fallback:
         direct = irka(model, data, opts.inner, solver)
+        counters.add_time("optimization", direct.counters.total_time)
         rom = direct.rom
         data = direct.optimal_data
         converged = direct.converged

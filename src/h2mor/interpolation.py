@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as spla
@@ -30,7 +31,11 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True, eq=False)
 class InterpolationBlock:
-    """One interpolation node: shift, tangent pair, and chain length."""
+    """One interpolation node: shift, tangent pair, and chain length.
+
+    The tangents are read-only copies, so a block never changes after
+    construction.
+    """
 
     sigma: complex
     right: np.ndarray
@@ -39,8 +44,8 @@ class InterpolationBlock:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", complex(self.sigma))
-        object.__setattr__(self, "right", np.asarray(self.right, dtype=complex).reshape(-1))
-        object.__setattr__(self, "left", np.asarray(self.left, dtype=complex).reshape(-1))
+        object.__setattr__(self, "right", _frozen_vector(self.right))
+        object.__setattr__(self, "left", _frozen_vector(self.left))
         if self.length < 1:
             raise ValueError("chain length must be >= 1")
 
@@ -66,6 +71,13 @@ class InterpolationBlock:
             if np.linalg.norm(a - b.conj()) > rtol * max(np.linalg.norm(a), 1e-300):
                 return False
         return True
+
+
+def _frozen_vector(values) -> np.ndarray:
+    """A read-only complex 1-D copy of ``values``."""
+    v = np.asarray(values, dtype=complex).reshape(-1).copy()
+    v.flags.writeable = False
+    return v
 
 
 def angle_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -182,14 +194,19 @@ class InterpolationData:
 
     # -- conjugate structure -------------------------------------------------
 
-    def conjugate_pairing(self):
+    def conjugate_pairing(self) -> tuple:
         """Group blocks under conjugation, in block order.
 
         A self-conjugate block gives ``(i,)``, a complex block and its
         conjugate partner ``(i, j)``: the format of
         :func:`~h2mor.linalg.conjugate_pairs`.  Raises
         :class:`NotConjugateClosed` when a complex block has no partner.
+        The blocks never change, so the grouping is computed once.
         """
+        return self._pairing
+
+    @cached_property
+    def _pairing(self) -> tuple:
         unused = set(range(len(self.blocks)))
         pairing = []
         for i, b in enumerate(self.blocks):
@@ -204,7 +221,7 @@ class InterpolationData:
                 raise NotConjugateClosed(f"block at sigma = {b.sigma} has no conjugate partner")
             unused.discard(partner)
             pairing.append((i, partner))
-        return pairing
+        return tuple(pairing)
 
     def validate(self, m: int | None = None, p: int | None = None) -> None:
         """Check tangent dimensions and conjugate closure."""
@@ -285,7 +302,7 @@ def primitive_basis(model: StateSpaceModel, data: InterpolationData, side: str,
     if side not in ("input", "output"):
         raise ValueError("side must be 'input' or 'output'")
     transposed = side == "output"
-    Esp = model.E.T.tocsc() if transposed else model.E
+    Esp = model.ET if transposed else model.E
     cols = []
     for b in data.blocks:
         rhs = model.C.T @ b.left if transposed else model.B @ b.right

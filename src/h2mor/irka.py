@@ -160,7 +160,7 @@ def _pad_to_order(data: InterpolationData, r: int) -> InterpolationData:
 def irka(model: StateSpaceModel, init: InterpolationData,
          opts: IrkaOptions | None = None,
          solver: ShiftedSolver | None = None, *,
-         require_order: bool = True) -> IrkaResult:
+         inner_run: bool = False) -> IrkaResult:
     """Iterate interpolation data to a (local) H2-optimal reduced model.
 
     Runs until the stop criterion falls below ``opts.tol`` or ``max_iter`` is
@@ -168,11 +168,12 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     ``converged=False``, not raised.  ``optimal_data`` holds the mirrored
     poles and residue tangents of the returned reduced model, re-inflated
     to ``init.r`` columns when the last step lost rank.  A final reduced
-    model of order below ``init.r`` raises :class:`RankCollapse` unless
-    ``require_order`` is False (CIRKA's inner runs, whose next outer step
-    starts from the re-inflated data).  Steps that had to perturb a shift
-    off the spectrum are counted in ``shift_retries`` and summarized in one
-    warning.
+    model of order below ``init.r`` raises :class:`RankCollapse`.  Steps
+    that had to perturb a shift off the spectrum are counted in
+    ``shift_retries`` and summarized in one warning.  ``inner_run`` marks
+    one of CIRKA's inner runs: its next outer step starts from the
+    re-inflated data, so a low order does not raise, and CIRKA sums the
+    retries of all its inner runs into one warning of its own.
     """
     opts = opts or IrkaOptions()
     if solver is None:
@@ -212,10 +213,10 @@ def irka(model: StateSpaceModel, init: InterpolationData,
             converged = True
             break
 
-    if retries:
+    if retries and not inner_run:
         log.warning("%d of %d IRKA steps perturbed a shift that hit the spectrum",
                     retries, k)
-    if require_order and rom.n < init.r:
+    if not inner_run and rom.n < init.r:
         raise RankCollapse(f"reduced model has order {rom.n} after rank trimming, "
                            f"below r = {init.r}")
     counters = CostCounters(

@@ -70,12 +70,13 @@ class ShiftedSolver:
     worst-case number of factorizations without any recycling.
 
     Every pencil A - sigma E lives on the joint sparsity pattern of A and E,
-    so it is assembled as one array operation on that pattern, and one
-    fill-reducing column ordering serves all shifts.  The first factorization
-    chooses the ordering (minimum degree on the pattern of M^T + M, which
-    suits the structurally symmetric pencils of discretized models); the
-    second puts the columns of A and E in that order, once, and every later
-    shift factorizes the permuted pencil without reordering.  ``solve`` maps
+    so one sparse matrix on that pattern serves all shifts: each shift
+    rewrites its values in one array operation.  One fill-reducing column
+    ordering serves all shifts too.  The first factorization chooses it
+    (minimum degree on the pattern of M^T + M, which suits the structurally
+    symmetric pencils of discretized models); the second puts the columns of
+    A and E in that order, once, and every later shift factorizes the
+    permuted pencil without reordering.  ``solve`` maps
     the permutation back.  The ordering outlives :meth:`drop_factorizations`.
     """
 
@@ -85,7 +86,7 @@ class ShiftedSolver:
         self.lu_count_norecycle = 0
         self._cache = {}
         self._requested = set()
-        self._pencil = None       # (indptr, indices, a, e), see _joint_pattern
+        self._pencil = None       # (M, a, e): M holds a - sigma e, see _pencil_matrix
         self._columns = None      # column order chosen by the first factorization
         self._reordered = False   # whether the pencil's columns are in that order
 
@@ -123,18 +124,20 @@ class ShiftedSolver:
     def _factorize(self, sigma):
         """LU of A - sigma E, and the column order it was taken in (None: the model's own)."""
         if self._columns is None:
-            self._pencil = _joint_pattern(self.model.A, self.model.E)
+            self._pencil = _pencil_matrix(*_joint_pattern(self.model.A, self.model.E))
             lu = self._splu(sigma, "MMD_AT_PLUS_A")
             self._columns = np.argsort(lu.perm_c)
             return lu, None
         if not self._reordered:
-            self._pencil = _permute_columns(*self._pencil, self._columns)
+            M, a, e = self._pencil
+            self._pencil = _pencil_matrix(*_permute_columns(M.indptr, M.indices, a, e,
+                                                            self._columns))
             self._reordered = True
         return self._splu(sigma, "NATURAL"), self._columns
 
     def _splu(self, sigma, ordering):
-        indptr, indices, a, e = self._pencil
-        M = sps.csc_matrix((a - sigma * e, indices, indptr), shape=self.model.A.shape)
+        M, a, e = self._pencil
+        np.subtract(a, sigma * e, out=M.data)
         try:
             return splu(M, permc_spec=ordering)
         except RuntimeError as exc:
@@ -164,6 +167,18 @@ def _joint_pattern(A, E):
     a = np.bincount(slot[:A.nnz], weights=A.data, minlength=joint.size)
     e = np.bincount(slot[A.nnz:], weights=E.data, minlength=joint.size)
     return np.searchsorted(joint, np.arange(n + 1) * n), joint % n, a, e
+
+
+def _pencil_matrix(indptr, indices, a, e):
+    """``(M, a, e)`` with M a complex CSC matrix on the pattern, values unset.
+
+    A shift writes ``a - sigma * e`` into ``M.data``.  SuperLU keeps no
+    reference to the matrix it factorizes, so the LUs of earlier shifts stay
+    valid.
+    """
+    M = sps.csc_matrix((np.empty(a.size, dtype=complex), indices, indptr),
+                       shape=(indptr.size - 1,) * 2)
+    return M, a, e
 
 
 def _permute_columns(indptr, indices, a, e, columns):

@@ -12,6 +12,7 @@ G(s) = C (sE - A)^{-1} B + D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -47,6 +48,11 @@ class StateSpaceModel:
     def n(self) -> int:
         return self.A.shape[0]
 
+    @cached_property
+    def ET(self) -> sps.csc_matrix:
+        """E transposed, in CSC storage (built on first use)."""
+        return self.E.T.tocsc()
+
     @property
     def m(self) -> int:
         return self.B.shape[1]
@@ -66,20 +72,35 @@ class StateSpaceModel:
 def _to_sparse(M, name, square_of=None):
     if sps.issparse(M):
         S = M.tocsc()
+        if np.iscomplexobj(S.data):
+            raise DimensionMismatch(f"{name} must be real")
+        S = S.astype(float)
     else:
         arr = np.atleast_2d(np.asarray(M))
         if np.iscomplexobj(arr):
             raise DimensionMismatch(f"{name} must be real")
-        S = sps.csc_matrix(arr.astype(float))
-    if np.iscomplexobj(S.data):
-        raise DimensionMismatch(f"{name} must be real")
-    S = S.astype(float)
+        if arr.ndim != 2:
+            raise DimensionMismatch(f"{name} must be a matrix, got ndim={arr.ndim}")
+        S = _dense_to_csc(arr.astype(float, copy=False))
     if S.shape[0] != S.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {S.shape}")
     if square_of is not None and S.shape[0] != square_of:
         raise DimensionMismatch(f"{name} is {S.shape}, expected {square_of}x{square_of}")
     S.sort_indices()
     return S
+
+
+def _dense_to_csc(arr):
+    """``sps.csc_matrix(arr)`` for a 2-D float array, read off its columns directly.
+
+    The nonzeros of ``arr.T`` in row-major order are those of ``arr`` column
+    by column with rows ascending: the canonical CSC arrays, exact zeros
+    (-0.0 included) left out.
+    """
+    cols = arr.T
+    stored = cols != 0
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
+    return sps.csc_matrix((cols[stored], np.nonzero(stored)[1], indptr), shape=arr.shape)
 
 
 def _to_dense(M, name, rows=None, as_row=False):
@@ -121,7 +142,7 @@ def make_model(E, A, B, C, D=None) -> StateSpaceModel:
         raise DimensionMismatch(f"D is {D.shape}, expected {(p, m)}")
 
     col_nnz = np.diff(E.indptr)
-    row_nnz = np.diff(E.tocsr().indptr)
+    row_nnz = np.bincount(E.indices, minlength=n)
     if np.any(col_nnz == 0) or np.any(row_nnz == 0):
         raise StructurallySingularE("E has a structurally zero row or column")
     return StateSpaceModel(E=E, A=A, B=B, C=C, D=D)

@@ -56,6 +56,20 @@ class TestInterpolationData:
         assert np.allclose(back.left_tangents, data.left_tangents)
         assert tuple(b.length for b in back.blocks) == tuple(b.length for b in data.blocks)
 
+    def test_block_keeps_read_only_copies(self):
+        right, left = np.array([1.0 + 2j, 3.0]), np.array([4.0])
+        b = InterpolationBlock(1 + 1j, right, left)
+        right[0], left[0] = 0.0, 0.0
+        assert np.array_equal(b.right, [1.0 + 2j, 3.0]) and np.array_equal(b.left, [4.0])
+        for t in (b.right, b.left):
+            with pytest.raises(ValueError):
+                t[0] = 7.0
+
+    def test_pairing_computed_once(self):
+        data = random_conjugate_data(5, 2, 2, 4)
+        assert data.conjugate_pairing() is data.conjugate_pairing()
+        assert sorted(i for g in data.conjugate_pairing() for i in g) == list(range(5))
+
     def test_perturbed_keeps_closure(self):
         data = random_conjugate_data(4, 1, 1, 3)
         sigma = data.blocks[0].sigma

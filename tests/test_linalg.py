@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as spla
 import scipy.sparse as sps
+from scipy.sparse.linalg import splu
 
 from h2mor import (
     ShiftedSolver,
@@ -167,6 +168,49 @@ class TestShiftedSolverOrdering:
         for sigma in (1.0, 2 + 1j):
             x = solver.solve(sigma, np.ones(2))
             assert np.allclose((A.toarray() - sigma * np.eye(2)) @ x, np.ones(2), atol=1e-14)
+
+    @pytest.mark.parametrize("name", SOLVER_MODELS)
+    def test_solutions_equal_fresh_factorizations_bit_for_bit(self, name):
+        # every LU is taken from one matrix whose values each shift rewrites;
+        # solving at all shifts after the last rewrite must give, bit for bit,
+        # what a fresh matrix and LU of the (permuted) pencil give
+        model = SOLVER_MODELS[name]()
+        rhs = np.random.default_rng(6).standard_normal((model.n, 2)) * (1 - 0.25j)
+        shifts = (0.5, 1 + 2j, 0.0, 3 + 1j)
+        solver = ShiftedSolver(model)
+        for sigma in shifts:
+            solver.solve(sigma, rhs[:, 0])
+        pencil = linalg._joint_pattern(model.A, model.E)
+        columns = solver._columns
+        for k, sigma in enumerate(shifts):
+            indptr, indices, a, e = pencil if k == 0 else linalg._permute_columns(*pencil,
+                                                                                  columns)
+            M = sps.csc_matrix((a - complex(sigma) * e, indices, indptr), shape=model.A.shape)
+            lu = splu(M, permc_spec="MMD_AT_PLUS_A" if k == 0 else "NATURAL")
+            if k == 0:
+                want, want_t = lu.solve(rhs), lu.solve(rhs, trans="T")
+            else:
+                want = np.empty_like(rhs)
+                want[columns] = lu.solve(rhs)
+                want_t = lu.solve(rhs[columns], trans="T")
+            assert solver.solve(sigma, rhs).tobytes() == want.tobytes(), sigma
+            assert solver.solve(sigma, rhs, transposed=True).tobytes() == want_t.tobytes(), sigma
+        assert solver.lu_count == len(shifts)
+
+    def test_one_matrix_per_pattern(self, monkeypatch):
+        # a new sparse matrix at every shift is the per-call cost the solver avoids
+        model = SOLVER_MODELS["cd2d"]()
+        matrices = []
+        real_splu = linalg.splu
+        monkeypatch.setattr(linalg, "splu",
+                            lambda M, *a, **k: matrices.append(M) or real_splu(M, *a, **k))
+        solver = ShiftedSolver(model)
+        for sigma in (0.5, 1 + 2j, 2.0, 3 + 1j):
+            solver.solve(sigma, np.ones(model.n))
+        solver.drop_factorizations()
+        solver.solve(0.5, np.ones(model.n))
+        assert len(matrices) == 5
+        assert all(M is matrices[1] for M in matrices[2:])
 
     @pytest.mark.parametrize("name", ["heat2d", "cd2d"])
     def test_reused_ordering_keeps_minimum_degree_fill(self, monkeypatch, name):

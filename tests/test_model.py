@@ -38,6 +38,45 @@ class TestMakeModel:
         with pytest.raises(StructurallySingularE):
             make_model(E, np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)))
 
+    def test_dense_E_with_zero_row(self):
+        # the row holds only exact zeros, one of them -0.0; every column has an entry
+        E = np.array([[1.0, 2.0, 0.0], [0.0, -0.0, 0.0], [0.0, 3.0, 1.0]])
+        with pytest.raises(StructurallySingularE):
+            make_model(E, -np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_input_gives_scipy_csc_arrays(self, order):
+        rng = np.random.default_rng(4)
+        for shape in ((1, 1), (5, 5), (12, 12)):
+            arr = rng.standard_normal(shape)
+            arr[rng.random(shape) < 0.4] = 0.0
+            arr[rng.random(shape) < 0.2] = -0.0
+            arr[0, 0] = -0.0
+            arr = np.asarray(arr, order=order)
+            model = make_model(None, arr, np.ones((shape[0], 1)), np.ones((1, shape[0])))
+            ref = sps.csc_matrix(arr)
+            assert model.A.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(model.A, name), getattr(ref, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+            assert model.A.nnz == np.count_nonzero(arr)
+
+    def test_dense_integer_input_is_float(self):
+        model = make_model(None, [[-2, 0], [1, -3]], np.ones((2, 1)), np.ones((1, 2)))
+        assert model.A.dtype == np.float64
+        assert np.array_equal(model.A.toarray(), [[-2.0, 0.0], [1.0, -3.0]])
+
+    def test_dense_input_is_copied(self):
+        A = np.diag([-1.0, -2.0])
+        model = make_model(None, A, np.ones((2, 1)), np.ones((1, 2)))
+        A[0, 0] = 5.0
+        assert model.A[0, 0] == -1.0
+
+    def test_transposed_E_cached(self):
+        model = random_stable_model(20, 1, 1, 2)
+        assert model.ET is model.ET
+        assert np.array_equal(model.ET.toarray(), model.E.toarray().T)
+
     def test_default_E_and_D(self):
         model = make_model(None, [[-2.0]], [[1.0]], [[3.0]])
         assert np.allclose(model.E.toarray(), [[1.0]])
