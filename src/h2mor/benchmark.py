@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 from time import perf_counter
 
@@ -82,10 +82,7 @@ def _rel_error(model, rom) -> float | None:
 
 
 def run_benchmark(models, r_values, init: str = "zero",
-                  algorithms=("irka", "cirka"),
-                  irka_opts: IrkaOptions | None = None,
-                  cirka_opts: CirkaOptions | None = None,
-                  compute_errors: bool = True) -> list:
+                  algorithms=("irka", "cirka"), compute_errors: bool = True) -> list:
     """Run every (model, r, algorithm) cell from one shared initialization.
 
     ``models`` maps names to loaded models.  Failures in one cell are logged
@@ -105,22 +102,20 @@ def run_benchmark(models, r_values, init: str = "zero",
                 log.error("initialization failed for %s r=%d: %s", name, r, exc)
                 continue
             for algo in algorithms:
-                rows.append(_run_cell(name, model, r, algo, data0, init,
-                                      irka_opts, cirka_opts, compute_errors))
+                rows.append(_run_cell(name, model, r, algo, data0, init, compute_errors))
     rows.sort(key=lambda row: (row.model, row.r, row.algorithm))
     return rows
 
 
-def _run_cell(name, model, r, algo, data0, init, irka_opts, cirka_opts,
-              compute_errors) -> BenchmarkRow:
+def _run_cell(name, model, r, algo, data0, init, compute_errors) -> BenchmarkRow:
     """One cell; ``time_s`` is the algorithm call alone, without any check."""
     t0 = perf_counter()
     try:
         if algo == "irka":
-            res = irka(model, data0, irka_opts or IrkaOptions(), ShiftedSolver(model))
+            res = irka(model, data0, IrkaOptions(), ShiftedSolver(model))
         elif algo == "cirka":
             # the row reads no optimality report
-            opts = replace(cirka_opts or CirkaOptions(), verify_optimality=False)
+            opts = CirkaOptions(verify_optimality=False)
             res = cirka(model, data0, opts, ShiftedSolver(model))
         else:
             raise ValueError(f"unknown algorithm '{algo}'")

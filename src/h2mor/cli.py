@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from .cirka import (
     verify_h2_optimality,
     verify_realization_equivalence,
 )
-from .errors import ModelReductionError
+from .errors import DimensionMismatch, IoError, ModelReductionError
 from .interpolation import InterpolationData, verify_tangential_interpolation
 from .irka import IrkaOptions, irka
 from .linalg import ShiftedSolver, pencil_eigenvalues
@@ -127,9 +128,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args):
-    manifest = find_manifest(args.model)
-    return load_model(manifest, data_dir=args.data_dir), manifest.name
+class _LoadError(Exception):
+    """A load or validation error, reported by :func:`main` as exit 1."""
+
+
+@contextmanager
+def _loading():
+    """A command's load phase: its errors become :class:`_LoadError`."""
+    try:
+        yield
+    except (ModelReductionError, OSError, ValueError) as exc:
+        raise _LoadError(exc) from exc
+
+
+def _load(name, data_dir):
+    """``(manifest name, model)`` for a manifest name or path."""
+    manifest = find_manifest(name)
+    return manifest.name, load_model(manifest, data_dir=data_dir)
 
 
 def _fmt_shifts(data: InterpolationData) -> str:
@@ -138,10 +153,9 @@ def _fmt_shifts(data: InterpolationData) -> str:
 
 
 def cmd_reduce(args) -> int:
-    if args.r < 1:
-        print("error: --r must be >= 1", file=sys.stderr)
-        return EXIT_LOAD
-    try:
+    with _loading():
+        if args.r < 1:
+            raise ValueError("--r must be >= 1")
         inner = IrkaOptions(tol=args.tol, max_iter=args.max_iter,
                             stop_criterion=_STOP_NAMES[args.stop_criterion])
         opts = CirkaOptions(inner=inner, init_strategy=args.init_strategy,
@@ -154,50 +168,36 @@ def cmd_reduce(args) -> int:
             if args.max_model_order is not None and args.max_model_order < n_model:
                 raise ValueError(f"--max-model-order {args.max_model_order} is below the "
                                  f"initial model-function order {n_model}")
-        model, name = _load(args)
+        name, model = _load(args.model, args.data_dir)
         if args.r >= model.n:
-            print(f"error: r = {args.r} must be below the model order {model.n}",
-                  file=sys.stderr)
-            return EXIT_LOAD
+            raise ValueError(f"r = {args.r} must be below the model order {model.n}")
         if args.init == "file":
             if not args.init_file:
-                print("error: --init file requires --init-file", file=sys.stderr)
-                return EXIT_LOAD
+                raise ValueError("--init file requires --init-file")
             data0 = InterpolationData.from_jsonable(
                 json.loads(Path(args.init_file).read_text()))
             data0.validate(model.m, model.p)
             if data0.r != args.r:
-                print(f"error: {args.init_file} holds r = {data0.r} columns, not --r {args.r}",
-                      file=sys.stderr)
-                return EXIT_LOAD
+                raise ValueError(f"{args.init_file} holds r = {data0.r} columns, "
+                                 f"not --r {args.r}")
         else:
             data0 = bench.initial_data(model, args.r, args.init)
-    except (ModelReductionError, OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LOAD
 
-    try:
-        if args.algo == "irka":
-            res = irka(model, data0, inner, ShiftedSolver(model))
-            rom, data = res.rom, res.optimal_data
-            counters, converged = res.counters, res.converged
-            estimate = None
-            k_line = f"k_IRKA = {res.iterations}"
-            try:
-                report = verify_h2_optimality(model, rom)
-            except ModelReductionError:
-                report = None
-        else:
-            res = cirka(model, data0, opts, ShiftedSolver(model))
-            rom, data = res.rom, res.optimal_data
-            counters, converged = res.counters, res.converged
-            estimate = res.error_estimate
-            report = res.optimality_report
-            k_line = (f"k_CIRKA = {res.outer_iterations}, "
-                      f"sum k_IRKA = {counters.irka_steps_total}")
-    except ModelReductionError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if args.algo == "irka":
+        res = irka(model, data0, inner, ShiftedSolver(model))
+        estimate = None
+        k_line = f"k_IRKA = {res.iterations}"
+        try:
+            report = verify_h2_optimality(model, res.rom)
+        except ModelReductionError:
+            report = None
+    else:
+        res = cirka(model, data0, opts, ShiftedSolver(model))
+        estimate = res.error_estimate
+        report = res.optimality_report
+        k_line = (f"k_CIRKA = {res.outer_iterations}, "
+                  f"sum k_IRKA = {res.counters.irka_steps_total}")
+    rom, data, counters, converged = res.rom, res.optimal_data, res.counters, res.converged
 
     print(f"model {name}: n = {model.n}, m = {model.m}, p = {model.p}")
     print(f"algorithm {args.algo}, r = {args.r}, init = {args.init}: "
@@ -234,7 +234,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_benchmark(args) -> int:
     names = [s for s in args.models.split(",") if s]
-    try:
+    with _loading():
         r_values = sorted({int(s) for s in args.r.split(",") if s})
         if not names or not r_values or any(r < 1 for r in r_values):
             raise ValueError("need at least one model and positive orders")
@@ -242,13 +242,7 @@ def cmd_benchmark(args) -> int:
         for a in algos:
             if a not in ("irka", "cirka"):
                 raise ValueError(f"unknown algorithm '{a}'")
-        models = {}
-        for name in names:
-            manifest = find_manifest(name)
-            models[manifest.name] = load_model(manifest, data_dir=args.data_dir)
-    except (ModelReductionError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LOAD
+        models = dict(_load(name, args.data_dir) for name in names)
 
     rows = bench.run_benchmark(models, r_values, init=args.init, algorithms=algos,
                                compute_errors=not args.no_error)
@@ -274,30 +268,23 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_bode(args) -> int:
-    try:
-        model, name = _load(args)
-        roms = []
-        if args.roms:
-            for d in args.roms.split(","):
-                roms.append((Path(d).name or d, load_rom_dir(d)))
-    except (ModelReductionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LOAD
-    wmin, wmax = args.wmin, args.wmax
-    if wmin is None or wmax is None:
-        if model.n <= DENSE_THRESHOLD:
-            mags = np.abs(pencil_eigenvalues(model))
-            mags = mags[mags > 0]
-            lo = 10 ** np.floor(np.log10(mags.min())) / 10 if mags.size else 1e-2
-            hi = 10 ** np.ceil(np.log10(mags.max())) * 10 if mags.size else 1e4
-        else:
-            lo, hi = 1e-2, 1e4
-        wmin = lo if wmin is None else wmin
-        wmax = hi if wmax is None else wmax
-    if not (0 < wmin < wmax) or args.points < 1:
-        print(f"error: need 0 < wmin < wmax and points >= 1 "
-              f"(got {wmin}, {wmax}, {args.points})", file=sys.stderr)
-        return EXIT_LOAD
+    with _loading():
+        name, model = _load(args.model, args.data_dir)
+        roms = [(Path(d).name or d, load_rom_dir(d)) for d in (args.roms or "").split(",") if d]
+        wmin, wmax = args.wmin, args.wmax
+        if wmin is None or wmax is None:
+            if model.n <= DENSE_THRESHOLD:
+                mags = np.abs(pencil_eigenvalues(model))
+                mags = mags[mags > 0]
+                lo = 10 ** np.floor(np.log10(mags.min())) / 10 if mags.size else 1e-2
+                hi = 10 ** np.ceil(np.log10(mags.max())) * 10 if mags.size else 1e4
+            else:
+                lo, hi = 1e-2, 1e4
+            wmin = lo if wmin is None else wmin
+            wmax = hi if wmax is None else wmax
+        if not (0 < wmin < wmax) or args.points < 1:
+            raise ValueError(f"need 0 < wmin < wmax and points >= 1 "
+                             f"(got {wmin}, {wmax}, {args.points})")
 
     freqs = np.logspace(np.log10(wmin), np.log10(wmax), args.points)
     tables = [(name, bode_samples(model, freqs))]
@@ -324,8 +311,8 @@ def cmd_bode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        model, name = _load(args)
+    with _loading():
+        _, model = _load(args.model, args.data_dir)
         rom = load_rom_dir(args.rom)
         data_path = Path(args.data) if args.data else Path(args.rom) / "data.json"
         data = None
@@ -333,44 +320,35 @@ def cmd_verify(args) -> int:
             data = InterpolationData.from_jsonable(json.loads(data_path.read_text()))
             data.validate(model.m, model.p)
         elif args.check in ("interp", "equivalence", "all"):
-            print(f"error: no interpolation data at {data_path}", file=sys.stderr)
-            return EXIT_LOAD
+            raise IoError(f"no interpolation data at {data_path}")
         if rom.m != model.m or rom.p != model.p:
-            raise ModelReductionError(
+            raise DimensionMismatch(
                 f"rom I/O dimensions {(rom.p, rom.m)} do not match model {(model.p, model.m)}")
-    except (ModelReductionError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LOAD
 
     failed = False
-    try:
-        if args.check in ("interp", "all"):
-            rep = verify_tangential_interpolation(model, rom, data)
-            ok = rep.passed(args.tol)
-            failed |= not ok
-            print(f"interpolation residual = {rep.max_residual:.3e} "
-                  f"({'pass' if ok else 'FAIL'} at {args.tol:g})")
-            print(f"n_LU (verification) = {rep.full_lu}")
-        if args.check in ("optimality", "all"):
-            rep = verify_h2_optimality(model, rom)
-            ok = rep.passed(args.tol)
-            failed |= not ok
-            print(f"optimality residual = {rep.max_residual:.3e} "
-                  f"({'pass' if ok else 'FAIL'} at {args.tol:g})")
-            print(f"n_LU (verification) = {rep.full_lu}")
-            for e in rep.entries:
-                print(f"  pole {-e.sigma.conjugate():.6g}: worst {e.worst:.3e}")
-            if rep.skipped_unstable:
-                print("  unstable poles skipped")
-        if args.check in ("equivalence", "all"):
-            rep = verify_realization_equivalence(model, data, rom)
-            ok = rep.passed(args.tol)
-            failed |= not ok
-            print(f"realization deviation = {rep.max_deviation:.3e} "
-                  f"({'pass' if ok else 'FAIL'} at {args.tol:g})")
-    except ModelReductionError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+
+    def verdict(rep) -> str:
+        """``(pass at tol)`` or ``(FAIL at tol)``; a failure sets the exit code."""
+        nonlocal failed
+        ok = rep.passed(args.tol)
+        failed |= not ok
+        return f"({'pass' if ok else 'FAIL'} at {args.tol:g})"
+
+    if args.check in ("interp", "all"):
+        rep = verify_tangential_interpolation(model, rom, data)
+        print(f"interpolation residual = {rep.max_residual:.3e} {verdict(rep)}")
+        print(f"n_LU (verification) = {rep.full_lu}")
+    if args.check in ("optimality", "all"):
+        rep = verify_h2_optimality(model, rom)
+        print(f"optimality residual = {rep.max_residual:.3e} {verdict(rep)}")
+        print(f"n_LU (verification) = {rep.full_lu}")
+        for e in rep.entries:
+            print(f"  pole {-e.sigma.conjugate():.6g}: worst {e.worst:.3e}")
+        if rep.skipped_unstable:
+            print("  unstable poles skipped")
+    if args.check in ("equivalence", "all"):
+        rep = verify_realization_equivalence(model, data, rom)
+        print(f"realization deviation = {rep.max_deviation:.3e} {verdict(rep)}")
     return EXIT_VERIFY if failed else EXIT_OK
 
 
@@ -390,7 +368,14 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
         "config": cmd_config,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except _LoadError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LOAD
+    except ModelReductionError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

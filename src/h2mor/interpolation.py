@@ -252,13 +252,12 @@ class InterpolationData:
             return complex(pair[0], pair[1])
 
         try:
-            blocks = tuple(
+            return cls(tuple(
                 InterpolationBlock(c(d["sigma"]), [c(z) for z in d["right"]],
                                    [c(z) for z in d["left"]], int(d["length"]))
-                for d in payload["blocks"])
+                for d in payload["blocks"]))
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed interpolation data: {exc!r}") from exc
-        return cls(blocks)
 
     def perturbed(self, sigma: complex) -> "InterpolationData":
         """Perturb every block at the given shift by (1 + 1e-8)*sigma + 1e-8.

@@ -24,7 +24,7 @@ from .errors import (
     StructurallySingularE,
     UnstablePencil,
 )
-from .model import DENSE_THRESHOLD, StateSpaceModel, make_model
+from .model import DENSE_THRESHOLD, StateSpaceModel, make_model, pole_residue
 
 log = logging.getLogger(__name__)
 
@@ -74,10 +74,10 @@ class ShiftedSolver:
     rewrites its values in one array operation.  One fill-reducing column
     ordering serves all shifts too.  The first factorization chooses it
     (minimum degree on the pattern of M^T + M, which suits the structurally
-    symmetric pencils of discretized models); the second puts the columns of
-    A and E in that order, once, and every later shift factorizes the
-    permuted pencil without reordering.  ``solve`` maps
-    the permutation back.  The ordering outlives :meth:`drop_factorizations`.
+    symmetric pencils of discretized models), and the columns of A and E are
+    then put in that order, once, so every later shift factorizes the
+    permuted pencil without reordering.  ``solve`` maps the permutation
+    back.  The ordering outlives :meth:`drop_factorizations`.
     """
 
     def __init__(self, model: StateSpaceModel):
@@ -88,7 +88,6 @@ class ShiftedSolver:
         self._requested = set()
         self._pencil = None       # (M, a, e): M holds a - sigma e, see _pencil_matrix
         self._columns = None      # column order chosen by the first factorization
-        self._reordered = False   # whether the pencil's columns are in that order
 
     def solve(self, sigma: complex, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
         """Return (A - sigma E)^{-1} rhs, or the transposed solve."""
@@ -127,12 +126,10 @@ class ShiftedSolver:
             self._pencil = _pencil_matrix(*_joint_pattern(self.model.A, self.model.E))
             lu = self._splu(sigma, "MMD_AT_PLUS_A")
             self._columns = np.argsort(lu.perm_c)
-            return lu, None
-        if not self._reordered:
             M, a, e = self._pencil
             self._pencil = _pencil_matrix(*_permute_columns(M.indptr, M.indices, a, e,
                                                             self._columns))
-            self._reordered = True
+            return lu, None
         return self._splu(sigma, "NATURAL"), self._columns
 
     def _splu(self, sigma, ordering):
@@ -336,12 +333,11 @@ def stable_part(model: StateSpaceModel) -> StateSpaceModel:
     The input must be dense-convertible with simple eigenvalues.  A fully
     stable model is returned unchanged.
     """
-    lam, X, Y = generalized_eig(model.A.toarray(), model.E.toarray())
+    pr = pole_residue(model)
+    lam, b_rows, c_rows = pr.poles, pr.input_residues, pr.output_residues
     stable = lam.real < 0.0
     if np.all(stable):
         return model
-    b_rows = Y.conj().T @ model.B
-    c_cols = model.C @ X
 
     blocks_a, rows_b, cols_c = [], [], []
     for group in conjugate_pairs(lam, np.lexsort((lam.imag, lam.real))):
@@ -352,12 +348,12 @@ def stable_part(model: StateSpaceModel) -> StateSpaceModel:
         if len(group) == 1:
             blocks_a.append(np.array([[li.real]]))
             rows_b.append(b_rows[i].real.reshape(1, -1))
-            cols_c.append(c_cols[:, i].real.reshape(-1, 1))
+            cols_c.append(c_rows[i].real.reshape(-1, 1))
             continue
         a, b = li.real, li.imag
         blocks_a.append(np.array([[a, -b], [b, a]]))
         bt = b_rows[i]
-        c = c_cols[:, i]
+        c = c_rows[i]
         rows_b.append(np.vstack([bt.real, bt.imag]))
         cols_c.append(np.column_stack([2.0 * c.real, -2.0 * c.imag]))
 

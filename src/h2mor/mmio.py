@@ -20,6 +20,13 @@ MANIFEST_PATH_VAR = "H2MOR_MANIFEST_PATH"
 DATA_DIR_VAR = "H2MOR_BENCH_DATA"
 
 _BUNDLED = Path(__file__).parent / "manifests"
+#: A model's matrices, as named in manifests and ROM directories; E and D may be absent.
+_MATRICES = ("A", "E", "B", "C", "D")
+_OPTIONAL = ("E", "D")
+#: The size line of each Matrix Market format.
+_SIZE_LINE = {"coordinate": "rows cols nnz", "array": "rows cols"}
+#: The tokens of a coordinate entry line.
+_ENTRY = ("row index", "column index", "value")
 
 
 def load_matrix_market(path) -> sps.csr_matrix:
@@ -43,53 +50,47 @@ def load_matrix_market(path) -> sps.csr_matrix:
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
         raise ParseError(f"{path}: line 1: not a MatrixMarket matrix header")
     fmt, field, symmetry = (h.lower() for h in header[2:5])
-    if fmt not in ("coordinate", "array"):
+    if fmt not in _SIZE_LINE:
         raise ParseError(f"{path}: line 1: unknown format '{fmt}'")
     if field not in ("real", "integer"):
         raise UnsupportedField(f"{path}: field '{field}' not supported (real/integer only)")
     if symmetry not in ("general", "symmetric"):
         raise UnsupportedField(f"{path}: symmetry '{symmetry}' not supported")
 
-    # locate the size line, skipping comments/blank lines
-    ln = 1
-    while ln < len(lines) and (not lines[ln].strip() or lines[ln].lstrip().startswith("%")):
-        ln += 1
-    if ln >= len(lines):
-        raise ParseError(f"{path}: line {ln + 1}: missing size line")
-    size_parts = lines[ln].split()
-
-    def _int(tok, lineno, what):
+    def number(tok, lineno, what, kind=float):
         try:
-            return int(tok)
+            return kind(tok)
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: bad {what} '{tok}'") from None
 
-    def _float(tok, lineno):
-        try:
-            return float(tok)
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: bad value '{tok}'") from None
+    # every line after the header that is neither blank nor a comment
+    data = ((lineno, s.split()) for lineno, raw in enumerate(lines[1:], start=2)
+            if (s := raw.strip()) and not s.startswith("%"))
+    ln, size = next(data, (len(lines) + 1, None))
+    if size is None:
+        raise ParseError(f"{path}: line {ln}: missing size line")
+    if len(size) != len(_SIZE_LINE[fmt].split()):
+        raise ParseError(f"{path}: line {ln}: {fmt} size line needs '{_SIZE_LINE[fmt]}'")
+    dims = [number(tok, ln, what, int)
+            for tok, what in zip(size, ("row count", "column count", "entry count"))]
+    nrows, ncols = dims[:2]
+    if symmetry == "symmetric" and nrows != ncols:
+        raise ParseError(f"{path}: line {ln}: symmetric {fmt} must be square")
 
     if fmt == "coordinate":
-        if len(size_parts) != 3:
-            raise ParseError(f"{path}: line {ln + 1}: coordinate size line needs 'rows cols nnz'")
-        nrows = _int(size_parts[0], ln + 1, "row count")
-        ncols = _int(size_parts[1], ln + 1, "column count")
-        nnz = _int(size_parts[2], ln + 1, "entry count")
+        nnz = dims[2]
         rows, cols, vals = [], [], []
         seen = 0
-        for off, raw in enumerate(lines[ln + 1:], start=ln + 2):
-            s = raw.strip()
-            if not s or s.startswith("%"):
-                continue
-            parts = s.split()
+        for seen, (lineno, parts) in enumerate(data, start=1):
             if len(parts) != 3:
-                raise ParseError(f"{path}: line {off}: expected 'i j value'")
-            i = _int(parts[0], off, "row index")
-            j = _int(parts[1], off, "column index")
-            v = _float(parts[2], off)
+                raise ParseError(f"{path}: line {lineno}: expected 'i j value'")
+            try:
+                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:      # parse again, token by token, to name the bad one
+                for tok, what, kind in zip(parts, _ENTRY, (int, int, float)):
+                    number(tok, lineno, what, kind)
             if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise ParseError(f"{path}: line {off}: index ({i}, {j}) out of range")
+                raise ParseError(f"{path}: line {lineno}: index ({i}, {j}) out of range")
             rows.append(i - 1)
             cols.append(j - 1)
             vals.append(v)
@@ -97,7 +98,6 @@ def load_matrix_market(path) -> sps.csr_matrix:
                 rows.append(j - 1)
                 cols.append(i - 1)
                 vals.append(v)
-            seen += 1
             if seen == nnz:
                 break
         if seen != nnz:
@@ -108,21 +108,11 @@ def load_matrix_market(path) -> sps.csr_matrix:
         return M.tocsr()    # conversion sums duplicates
 
     # array format: dense column-major values
-    if len(size_parts) != 2:
-        raise ParseError(f"{path}: line {ln + 1}: array size line needs 'rows cols'")
-    nrows = _int(size_parts[0], ln + 1, "row count")
-    ncols = _int(size_parts[1], ln + 1, "column count")
-    if symmetry == "symmetric" and nrows != ncols:
-        raise ParseError(f"{path}: line {ln + 1}: symmetric array must be square")
     expected = (nrows * ncols if symmetry == "general"
                 else nrows * (nrows + 1) // 2)
     vals = []
-    for off, raw in enumerate(lines[ln + 1:], start=ln + 2):
-        s = raw.strip()
-        if not s or s.startswith("%"):
-            continue
-        for tok in s.split():
-            vals.append(_float(tok, off))
+    for lineno, parts in data:
+        vals.extend(number(tok, lineno, "value") for tok in parts)
         if len(vals) >= expected:
             break
     if len(vals) != expected:
@@ -130,17 +120,13 @@ def load_matrix_market(path) -> sps.csr_matrix:
             f"{path}: line {len(lines) + 1}: unexpected end of file "
             f"({len(vals)} of {expected} values)")
     M = np.zeros((nrows, ncols))
-    it = iter(vals)
     if symmetry == "general":
-        for j in range(ncols):
-            for i in range(nrows):
-                M[i, j] = next(it)
+        cols, rows = np.divmod(np.arange(nrows * ncols), nrows)
+        M[rows, cols] = vals
     else:
-        for j in range(ncols):
-            for i in range(j, nrows):
-                v = next(it)
-                M[i, j] = v
-                M[j, i] = v
+        cols, rows = np.triu_indices(nrows)     # the lower triangle, column by column
+        M[rows, cols] = vals
+        M[cols, rows] = vals
     return sps.csr_matrix(M)
 
 
@@ -185,16 +171,24 @@ def load_manifest(path) -> ModelManifest:
         raise IoError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: manifest must be a JSON object")
     for key in ("name", "A", "B", "C", "n", "m", "p"):
         if key not in raw:
             raise ParseError(f"{path}: missing manifest field '{key}'")
+    for key in ("name", *_MATRICES):
+        value = raw.get(key)
+        if not isinstance(value, str) and not (key in _OPTIONAL and value is None):
+            raise ParseError(f"{path}: manifest field '{key}' must be a string")
+    for key in ("n", "m", "p"):
+        if type(raw[key]) is not int:
+            raise ParseError(f"{path}: manifest field '{key}' must be an integer")
     return ModelManifest(name=raw["name"], A=raw["A"], B=raw["B"], C=raw["C"],
-                         E=raw.get("E"), D=raw.get("D"), n=int(raw["n"]),
-                         m=int(raw["m"]), p=int(raw["p"]), notes=raw.get("notes", ""),
-                         base_dir=path.parent)
+                         E=raw.get("E"), D=raw.get("D"), n=raw["n"], m=raw["m"], p=raw["p"],
+                         notes=raw.get("notes", ""), base_dir=path.parent)
 
 
-def find_manifest(name: str, search_dirs=None) -> ModelManifest:
+def find_manifest(name: str) -> ModelManifest:
     """Resolve a model name (or direct path) to a manifest.
 
     Searched in order: a literal path, the current directory, directories in
@@ -206,7 +200,6 @@ def find_manifest(name: str, search_dirs=None) -> ModelManifest:
     dirs = [Path.cwd()]
     env = os.environ.get(MANIFEST_PATH_VAR, "")
     dirs += [Path(d) for d in env.split(os.pathsep) if d]
-    dirs += list(search_dirs or [])
     dirs.append(_BUNDLED)
     for d in dirs:
         p = d / f"{name}.json"
@@ -231,27 +224,33 @@ def _resolve(path_str: str, base_dir: Path | None, data_dir: Path | None) -> Pat
     raise IoError(f"matrix file '{path_str}' not found (tried: {', '.join(tried)})")
 
 
+def _manifest_files(manifest: ModelManifest, data_dir=None) -> dict:
+    """Resolved paths of a manifest's matrix files, keyed by matrix name.
+
+    See :func:`load_model` for the search order; an absent or empty E or D
+    is left out.
+    """
+    if data_dir is None:
+        data_dir = os.environ.get(DATA_DIR_VAR) or None
+    data_dir = None if data_dir is None else Path(data_dir)
+    return {key: _resolve(getattr(manifest, key), manifest.base_dir, data_dir)
+            for key in _MATRICES if key not in _OPTIONAL or getattr(manifest, key)}
+
+
+def _assemble(files: dict) -> StateSpaceModel:
+    """``make_model`` from the Matrix Market files in ``files``; E and D may be absent."""
+    mats = {key: load_matrix_market(path) for key, path in files.items()}
+    B, C, D = (mats[key].toarray() if key in mats else None for key in "BCD")
+    return make_model(mats.get("E"), mats["A"], B, C, D)
+
+
 def load_model(manifest: ModelManifest, data_dir=None) -> StateSpaceModel:
     """Assemble a validated model from a manifest.
 
     Relative matrix paths resolve against ``data_dir`` (default: the
     $H2MOR_BENCH_DATA directory), then the manifest's own directory.
     """
-    if data_dir is None:
-        env = os.environ.get(DATA_DIR_VAR)
-        data_dir = Path(env) if env else None
-    else:
-        data_dir = Path(data_dir)
-
-    def mat(path_str):
-        return load_matrix_market(_resolve(path_str, manifest.base_dir, data_dir))
-
-    A = mat(manifest.A)
-    E = mat(manifest.E) if manifest.E else None
-    B = mat(manifest.B).toarray()
-    C = mat(manifest.C).toarray()
-    D = mat(manifest.D).toarray() if manifest.D else None
-    model = make_model(E, A, B, C, D)
+    model = _assemble(_manifest_files(manifest, data_dir))
     declared = (manifest.n, manifest.m, manifest.p)
     if (model.n, model.m, model.p) != declared:
         raise DimensionMismatch(
@@ -264,38 +263,21 @@ def save_rom_dir(model: StateSpaceModel, directory) -> None:
     """Write a model's matrices as Matrix Market files rom_{E,A,B,C,D}.mtx."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_matrix_market(model.E, directory / "rom_E.mtx")
-    write_matrix_market(model.A, directory / "rom_A.mtx")
-    write_matrix_market(sps.csr_matrix(model.B), directory / "rom_B.mtx")
-    write_matrix_market(sps.csr_matrix(model.C), directory / "rom_C.mtx")
-    write_matrix_market(sps.csr_matrix(model.D), directory / "rom_D.mtx")
+    for key in _MATRICES:
+        write_matrix_market(getattr(model, key), directory / f"rom_{key}.mtx")
 
 
 def load_rom_dir(directory) -> StateSpaceModel:
-    """Load a model previously written by :func:`save_rom_dir`."""
-    directory = Path(directory)
-    E = load_matrix_market(directory / "rom_E.mtx")
-    A = load_matrix_market(directory / "rom_A.mtx")
-    B = load_matrix_market(directory / "rom_B.mtx").toarray()
-    C = load_matrix_market(directory / "rom_C.mtx").toarray()
-    dpath = directory / "rom_D.mtx"
-    D = load_matrix_market(dpath).toarray() if dpath.exists() else None
-    return make_model(E, A, B, C, D)
+    """Load a model previously written by :func:`save_rom_dir`; rom_D.mtx may be absent."""
+    files = {key: Path(directory) / f"rom_{key}.mtx" for key in _MATRICES}
+    return _assemble({key: path for key, path in files.items()
+                      if key != "D" or path.exists()})
 
 
 def benchmark_files_available(name: str, data_dir=None) -> bool:
     """True when every matrix file of the named bundled manifest resolves."""
     try:
-        manifest = find_manifest(name)
-    except IoError:
-        return False
-    if data_dir is None:
-        env = os.environ.get(DATA_DIR_VAR)
-        data_dir = Path(env) if env else None
-    try:
-        for entry in (manifest.A, manifest.B, manifest.C, manifest.E, manifest.D):
-            if entry:
-                _resolve(entry, manifest.base_dir, data_dir)
+        _manifest_files(find_manifest(name), data_dir)
     except IoError:
         return False
     return True

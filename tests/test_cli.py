@@ -15,8 +15,35 @@ from h2mor.mmio import load_rom_dir, save_rom_dir, write_matrix_market
 
 from .helpers import random_stable_model
 
-#: Interpolation-data payloads that lack a key or nest a scalar where a pair belongs.
-MALFORMED_DATA = [{}, {"blocks": [{"sigma": 1}]}]
+#: Interpolation-data payloads that lack a key, nest a scalar where a pair belongs,
+#: hold no block, or mix tangent sizes.
+MALFORMED_DATA = [
+    {}, {"blocks": [{"sigma": 1}]}, {"blocks": []},
+    {"blocks": [{"sigma": [1, 0], "right": [[1, 0]], "left": [[1, 0]], "length": 1},
+                {"sigma": [2, 0], "right": [[1, 0], [1, 0]], "left": [[1, 0]], "length": 1}]},
+]
+
+#: Manifest payloads that are valid JSON but not a valid manifest, and the text
+#: the error line must contain.
+MALFORMED_MANIFESTS = [
+    pytest.param(["name", "A", "B", "C", "n", "m", "p"], "JSON object", id="list"),
+    pytest.param({"name": "bad", "A": 5, "B": "B.mtx", "C": "C.mtx", "n": 2, "m": 1, "p": 1},
+                 "'A'", id="A-not-string"),
+    pytest.param({"name": "bad", "A": "A.mtx", "B": "B.mtx", "C": "C.mtx", "E": ["E.mtx"],
+                  "n": 2, "m": 1, "p": 1}, "'E'", id="E-not-string"),
+    pytest.param({"name": "bad", "A": "A.mtx", "B": "B.mtx", "C": "C.mtx",
+                  "n": "two", "m": 1, "p": 1}, "'n'", id="n-not-integer"),
+    pytest.param({"name": ["bad"], "A": "A.mtx", "B": "B.mtx", "C": "C.mtx",
+                  "n": 2, "m": 1, "p": 1}, "'name'", id="name-not-string"),
+]
+
+#: Each command, given the model name ``bad`` and a rom directory.
+COMMANDS = {
+    "reduce": lambda rom: ["reduce", "--model", "bad", "--r", "1"],
+    "verify": lambda rom: ["verify", "--model", "bad", "--rom", str(rom)],
+    "bode": lambda rom: ["bode", "--model", "bad", "--roms", str(rom)],
+    "benchmark": lambda rom: ["benchmark", "--models", "bad", "--r", "1"],
+}
 
 #: ``reduce --r 4`` arguments and ``--init file`` data (or None) that the parser
 #: accepts but the options or the model rule out; the model has m = p = 2.
@@ -73,6 +100,37 @@ def lag_tree(tmp_path, monkeypatch, scalar_lag):
     monkeypatch.setenv("H2MOR_MANIFEST_PATH", str(tmp_path))
     monkeypatch.setenv("H2MOR_BENCH_DATA", str(tmp_path))
     return tmp_path
+
+
+def assert_one_line(capsys, prefix):
+    """stdout is empty and stderr is exactly one line that starts with ``prefix``."""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1, captured.err
+    return captured.err
+
+
+class TestExitCodes:
+    """Every command maps a load error to exit 1 and a solver error to exit 2."""
+
+    @pytest.mark.parametrize("payload, named", MALFORMED_MANIFESTS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_malformed_manifest_is_load_error(self, tmp_path, monkeypatch, capsys,
+                                              command, payload, named):
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        save_rom_dir(random_stable_model(2, 1, 1, 703), tmp_path / "rom")
+        monkeypatch.setenv("H2MOR_MANIFEST_PATH", str(tmp_path))
+        assert main(COMMANDS[command](tmp_path / "rom")) == 1
+        assert named in assert_one_line(capsys, "error: ")
+
+    def test_bode_on_a_pole_is_solver_failure(self, tmp_path, monkeypatch, capsys):
+        # poles +-i: G(s) is evaluated at s = 1j, where sE - A is singular
+        oscillator = make_model(None, np.array([[0.0, 1.0], [-1.0, 0.0]]), [[0.0], [1.0]],
+                                [[1.0, 0.0]])
+        register_model(tmp_path, monkeypatch, "osc", oscillator)
+        assert main(["bode", "--model", "osc", "--wmin", "1", "--wmax", "2",
+                     "--points", "2"]) == 2
+        assert_one_line(capsys, "solver failure: ")
 
 
 class TestConfig:

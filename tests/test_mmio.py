@@ -86,6 +86,13 @@ class TestLoadMatrixMarket:
         with pytest.raises(ParseError, match="line 3"):
             load_matrix_market(path)
 
+    def test_nonsquare_symmetric_coordinate_names_line(self, tmp_path):
+        path = write(tmp_path, "ns.mtx",
+                     "%%MatrixMarket matrix coordinate real symmetric\n"
+                     "% a comment\n2 1 1\n2 1 2.0\n")
+        with pytest.raises(ParseError, match="line 3: symmetric coordinate must be square"):
+            load_matrix_market(path)
+
     def test_array_format(self, tmp_path):
         path = write(tmp_path, "a.mtx",
                      "%%MatrixMarket matrix array real general\n"
@@ -99,6 +106,21 @@ class TestLoadMatrixMarket:
                      "2 2\n1.0\n2.0\n3.0\n")
         M = load_matrix_market(path)
         assert np.allclose(M.toarray(), [[1.0, 2.0], [2.0, 3.0]])
+
+    def test_array_general_is_column_major(self, tmp_path):
+        path = write(tmp_path, "a32.mtx",
+                     "%%MatrixMarket matrix array real general\n"
+                     "3 2\n1\n2\n3\n4\n5\n6\n")
+        assert np.array_equal(load_matrix_market(path).toarray(),
+                              [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+
+    def test_array_symmetric_fills_both_triangles(self, tmp_path):
+        # the lower triangle, column by column
+        path = write(tmp_path, "s33.mtx",
+                     "%%MatrixMarket matrix array real symmetric\n"
+                     "3 3\n1 2 3\n4 5\n6\n")
+        assert np.array_equal(load_matrix_market(path).toarray(),
+                              [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
 
     def test_comments_skipped(self, tmp_path):
         path = write(tmp_path, "cm.mtx",
@@ -157,6 +179,13 @@ class TestManifests:
         _, path = self.make_tree(tmp_path, with_E=False)
         loaded = load_model(load_manifest(path))
         assert np.allclose(loaded.E.toarray(), np.eye(12))
+
+    def test_empty_E_means_identity(self, tmp_path):
+        _, path = self.make_tree(tmp_path, with_E=False)
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps({**raw, "E": ""}))
+        loaded = load_model(load_manifest(path))
+        assert np.array_equal(loaded.E.toarray(), np.eye(12))
 
     def test_declared_dimension_mismatch(self, tmp_path):
         _, path = self.make_tree(tmp_path)
