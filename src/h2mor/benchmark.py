@@ -14,8 +14,8 @@ from .cirka import CirkaOptions, cirka
 from .errors import IoError, ModelReductionError
 from .interpolation import InterpolationData
 from .irka import IrkaOptions, initial_data_from_spectrum, irka
-from .linalg import ShiftedSolver
 from .metrics import h2_error
+from .mmio import write_text
 from .model import DENSE_THRESHOLD, StateSpaceModel
 
 log = logging.getLogger(__name__)
@@ -112,11 +112,11 @@ def _run_cell(name, model, r, algo, data0, init, compute_errors) -> BenchmarkRow
     t0 = perf_counter()
     try:
         if algo == "irka":
-            res = irka(model, data0, IrkaOptions(), ShiftedSolver(model))
+            res = irka(model, data0, IrkaOptions())
         elif algo == "cirka":
             # the row reads no optimality report
             opts = CirkaOptions(verify_optimality=False)
-            res = cirka(model, data0, opts, ShiftedSolver(model))
+            res = cirka(model, data0, opts)
         else:
             raise ValueError(f"unknown algorithm '{algo}'")
     except ModelReductionError as exc:
@@ -175,11 +175,7 @@ def results_to_string(rows, fmt: str) -> str:
 
 def write_results(rows, fmt: str, path) -> None:
     """Write rows to a file; see :func:`results_to_string` for the schemas."""
-    text = results_to_string(rows, fmt)
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_text(path, results_to_string(rows, fmt))
 
 
 def read_results_json(path) -> list:

@@ -45,9 +45,6 @@ log = logging.getLogger(__name__)
 
 INIT_STRATEGIES = ("I1", "I2")
 UPDATE_STRATEGIES = ("U1", "U2", "U3")
-#: Relative shift distance and tangent angle distance below which a triplet
-#: counts as one the model function already interpolates.
-NEW_TRIPLET_TOL = 1e-6
 #: The outer loop stops when shifts and tangent directions stop moving.
 OUTER_STOP_CRITERION = "shifts_and_tangents"
 
@@ -77,6 +74,19 @@ class CirkaOptions:
             raise ValueError("outer_max_iter must be >= 1")
         if self.max_model_order is not None and self.max_model_order < 1:
             raise ValueError("max_model_order must be >= 1")
+
+    def initial_order(self, r: int) -> int:
+        """The initial model-function order: 2r by default; I.2 allows only 2r, I.1 any above r."""
+        if self.init_strategy == "I2" and self.initial_nM not in (None, 2 * r):
+            raise ValueError(f"I.2 fixes the model-function order to 2r = {2 * r}")
+        n_model = 2 * r if self.initial_nM is None else self.initial_nM
+        if n_model <= r:
+            raise ValueError(f"model-function order {n_model} must exceed r = {r}")
+        return n_model
+
+    def order_cap(self, n: int) -> int:
+        """The model-function order cap: ``max_model_order`` (default n // 2), at most n."""
+        return min(self.max_model_order or n // 2, n)
 
 
 @dataclass(eq=False)
@@ -108,8 +118,7 @@ class ModelFunction:
 
 def _find_match(blocks, block: InterpolationBlock):
     """Index of the first of ``blocks`` whose triplet ``block`` repeats, or None."""
-    return next((i for i, b in enumerate(blocks)
-                 if same_triplet(b, block, NEW_TRIPLET_TOL, NEW_TRIPLET_TOL)), None)
+    return next((i for i, b in enumerate(blocks) if same_triplet(b, block)), None)
 
 
 def _extend(entries: list, idx: int, extra: int) -> None:
@@ -119,15 +128,14 @@ def _extend(entries: list, idx: int, extra: int) -> None:
 
 
 def _build(model: StateSpaceModel, entries: list, solver: ShiftedSolver,
-           max_model_order: int | None) -> ModelFunction:
+           cap: int) -> ModelFunction:
     """Make the model function of ``(block, columns or None)`` entries.
 
-    The order cap, ``min(max_model_order, n)``, is checked before any solve.
-    Blocks without columns get theirs from :func:`primitive_basis`, one block
-    at a time at its final chain length; then all columns are projected.
+    The order cap is checked before any solve.  Blocks without columns get
+    theirs from :func:`primitive_basis`, one block at a time at its final
+    chain length; then all columns are projected.
     """
     total = sum(b.length for b, _ in entries)
-    cap = model.n if max_model_order is None else min(max_model_order, model.n)
     if total > cap:
         raise ModelOrderExceeded(f"model-function order {total} exceeds the cap {cap}")
     columns = []
@@ -146,36 +154,25 @@ def _build(model: StateSpaceModel, entries: list, solver: ShiftedSolver,
 # -- initialization and update strategies ------------------------------------
 
 
-def model_function_order(strategy: str, r: int, n_model: int | None) -> int:
-    """The initial model-function order: 2r by default; I.2 allows only 2r, I.1 any above r."""
-    if strategy == "I2" and n_model not in (None, 2 * r):
-        raise ValueError(f"I.2 fixes the model-function order to 2r = {2 * r}")
-    n_model = 2 * r if n_model is None else n_model
-    if n_model <= r:
-        raise ValueError(f"model-function order {n_model} must exceed r = {r}")
-    return n_model
-
-
 def init_model_function(model: StateSpaceModel, data0: InterpolationData,
-                        strategy: str = "I2", n_model: int | None = None,
-                        solver: ShiftedSolver | None = None, *,
-                        max_model_order: int | None = None) -> ModelFunction:
+                        opts: CirkaOptions | None = None,
+                        solver: ShiftedSolver | None = None) -> ModelFunction:
     """Build the initial model function around the starting data.
 
-    I.1 keeps ``data0`` and adds a Jordan chain of length ``n_model - r`` at 0
+    I.1 keeps ``data0`` and adds a Jordan chain of length ``n_M - r`` at 0
     with all-ones tangents (a chain of ``data0`` at that triplet grows
     instead).  I.2 doubles every chain of ``data0`` (Hermite doubling), which
-    fixes ``n_model = 2 r``.  An order above ``min(max_model_order, n)``
-    raises :class:`ModelOrderExceeded`.
+    fixes ``n_M = 2 r``.  See :meth:`CirkaOptions.initial_order` for n_M; an
+    order above :meth:`CirkaOptions.order_cap` raises
+    :class:`ModelOrderExceeded`.
     """
-    if strategy not in INIT_STRATEGIES:
-        raise ValueError(f"strategy must be one of {INIT_STRATEGIES}")
+    opts = opts or CirkaOptions()
     if solver is None:
         solver = ShiftedSolver(model)
     data0.validate(model.m, model.p)
     r = data0.r
-    n_model = model_function_order(strategy, r, n_model)
-    if strategy == "I2":
+    n_model = opts.initial_order(r)
+    if opts.init_strategy == "I2":
         entries = [(replace(b, length=2 * b.length), None) for b in data0.blocks]
     else:
         entries = [(b, None) for b in data0.blocks]
@@ -185,14 +182,12 @@ def init_model_function(model: StateSpaceModel, data0: InterpolationData,
             entries.append((ones, None))
         else:
             _extend(entries, idx, ones.length)
-    return _build(model, entries, solver, max_model_order)
+    return _build(model, entries, solver, opts.order_cap(model.n))
 
 
 def update_model_function(model: StateSpaceModel, mf: ModelFunction,
-                          opt_data: InterpolationData, strategy: str = "U2",
-                          opts: CirkaOptions | None = None,
-                          solver: ShiftedSolver | None = None,
-                          max_model_order: int | None = None):
+                          opt_data: InterpolationData, opts: CirkaOptions | None = None,
+                          solver: ShiftedSolver | None = None):
     """Grow or rebuild the model function around new optimal data.
 
     U.1 appends all triplets (repeats extend chains to higher derivatives);
@@ -203,16 +198,13 @@ def update_model_function(model: StateSpaceModel, mf: ModelFunction,
     of ``opt_data``, which is the update condition that transfers optimality
     to the full model.
     """
-    if strategy not in UPDATE_STRATEGIES:
-        raise ValueError(f"strategy must be one of {UPDATE_STRATEGIES}")
     opts = opts or CirkaOptions()
     if solver is None:
         solver = ShiftedSolver(model)
 
-    if strategy == "U3":
+    if opts.update_strategy == "U3":
         keep = mf.history.r if opts.init_strategy == "I1" else None
-        new_mf = init_model_function(model, opt_data, opts.init_strategy, keep, solver,
-                                     max_model_order=max_model_order)
+        new_mf = init_model_function(model, opt_data, replace(opts, initial_nM=keep), solver)
         return new_mf, new_mf.history.r
 
     entries = list(zip(mf.history.blocks, mf.columns))
@@ -221,12 +213,12 @@ def update_model_function(model: StateSpaceModel, mf: ModelFunction,
         idx = _find_match(mf.history.blocks, b)
         if idx is None:
             entries.append((b, None))
-        elif strategy == "U2":
+        elif opts.update_strategy == "U2":
             continue
         else:
             _extend(entries, idx, b.length)
         added += b.length
-    return _build(model, entries, solver, max_model_order), added
+    return _build(model, entries, solver, opts.order_cap(model.n)), added
 
 
 # -- verification and estimation ----------------------------------------------
@@ -279,24 +271,24 @@ class EquivalenceReport:
 
     max_deviation: float
     points: tuple
-    conclusive: bool
+    full_lu: int
 
     def passed(self, tol: float) -> bool:
-        return self.conclusive and self.max_deviation < tol
+        return self.max_deviation < tol
 
 
 def verify_realization_equivalence(full_model: StateSpaceModel,
                                    opt_data: InterpolationData,
-                                   mf_rom: StateSpaceModel,
-                                   converged: bool = True) -> EquivalenceReport:
+                                   mf_rom: StateSpaceModel) -> EquivalenceReport:
     """Compare the CIRKA rom against direct full-model projection at the same data.
 
     Realizations are compared by transfer function (20 logarithmically spaced
     points on the imaginary axis plus 5 random complex points drawn with
-    seed 0), not by matrices.  With ``converged=False`` the report is marked
-    inconclusive.
+    seed 0), not by matrices.  ``full_lu`` counts the factorizations of the
+    direct projection, the check's own cost.
     """
-    direct, _ = hermite_reduce(full_model, opt_data)
+    solver = ShiftedSolver(full_model)
+    direct, _ = hermite_reduce(full_model, opt_data, solver)
     mags = np.abs(opt_data.shifts)
     mags = mags[mags > 0]
     lo = mags.min() / 10 if mags.size else 1e-2
@@ -313,7 +305,7 @@ def verify_realization_equivalence(full_model: StateSpaceModel,
         Gm = eval_transfer(mf_rom, s)
         worst = max(worst, relative(np.linalg.norm(Gd - Gm), np.linalg.norm(Gd)))
     return EquivalenceReport(max_deviation=float(worst), points=tuple(points),
-                             conclusive=converged)
+                             full_lu=solver.lu_count)
 
 
 # -- the outer loop -----------------------------------------------------------
@@ -340,25 +332,21 @@ class CirkaResult:
 
 
 def cirka(model: StateSpaceModel, init: InterpolationData,
-          opts: CirkaOptions | None = None,
-          solver: ShiftedSolver | None = None) -> CirkaResult:
+          opts: CirkaOptions | None = None) -> CirkaResult:
     """Confined IRKA outer loop.
 
     Alternates model-function updates on the full model with IRKA runs on the
     surrogate, warm-starting each inner run with the previous optimal data,
     until the optimal data stops moving (``outer_tol``) or ``outer_max_iter``
-    is hit.  If an update would exceed ``max_model_order``, the run falls
+    is hit.  If an update would exceed the order cap, the run falls
     back to direct IRKA on the full model, flags it and adds that run's time
     to its counters.  Inner steps that perturbed a shift off the spectrum
     are summarized in one warning per run.
     """
     opts = opts or CirkaOptions()
-    if solver is None:
-        solver = ShiftedSolver(model)
+    solver = ShiftedSolver(model)
     init.validate(model.m, model.p)
     r = init.r
-    max_nM = opts.max_model_order if opts.max_model_order is not None else model.n // 2
-    lu0, lu0n = solver.lu_count, solver.lu_count_norecycle
 
     counters = CostCounters()
     data = init
@@ -372,12 +360,10 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
         t0 = perf_counter()
         try:
             if mf is None:
-                mf = init_model_function(model, data, opts.init_strategy,
-                                         opts.initial_nM, solver, max_model_order=max_nM)
+                mf = init_model_function(model, data, opts, solver)
                 new_cols.append(mf.history.r)
             else:
-                mf, added = update_model_function(model, mf, data, opts.update_strategy,
-                                                  opts, solver, max_nM)
+                mf, added = update_model_function(model, mf, data, opts, solver)
                 new_cols.append(added)
         except ModelOrderExceeded as exc:
             log.warning("model function order cap hit (%s); falling back to direct IRKA", exc)
@@ -390,8 +376,7 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
             raise RankCollapse(f"model function has order {mf.order} after rank trimming, "
                                f"below r = {r}")
         t0 = perf_counter()
-        inner = irka(mf.surrogate, data, opts.inner, ShiftedSolver(mf.surrogate),
-                     inner_run=True)
+        inner = irka(mf.surrogate, data, opts.inner, inner_run=True)
         counters.add_time("optimization", perf_counter() - t0)
         counters.surrogate_lu += inner.counters.full_lu
         counters.surrogate_lu_norecycle += inner.counters.full_lu_norecycle
@@ -423,9 +408,8 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
             raise RankCollapse(f"reduced model has order {rom.n} after rank trimming, "
                                f"below r = {r}")
 
-    counters.full_lu = solver.lu_count - lu0
-    counters.full_lu_norecycle = solver.lu_count_norecycle - lu0n
-    counters.cirka_steps = k
+    counters.full_lu = solver.lu_count
+    counters.full_lu_norecycle = solver.lu_count_norecycle
 
     estimate = None
     used_stable = None

@@ -1,7 +1,7 @@
 """Command-line front end: reduce, benchmark, bode, verify, config.
 
-Exit codes: 0 success (a non-converged run is data, not failure), 1 load or
-validation error, 2 solver failure, 3 verification failure.
+Exit codes: 0 success (a non-converged run is data, not failure), 1 load,
+validation or write error, 2 solver failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ from .cirka import (
     OUTER_STOP_CRITERION,
     CirkaOptions,
     cirka,
-    model_function_order,
     verify_h2_optimality,
     verify_realization_equivalence,
 )
 from .errors import DimensionMismatch, IoError, ModelReductionError
 from .interpolation import InterpolationData, verify_tangential_interpolation
 from .irka import IrkaOptions, irka
-from .linalg import ShiftedSolver, pencil_eigenvalues
+from .linalg import pencil_eigenvalues
 from .metrics import bode_samples
-from .mmio import find_manifest, load_model, load_rom_dir, save_rom_dir
+from .mmio import find_manifest, load_model, load_rom_dir, save_rom_dir, write_text
 from .model import DENSE_THRESHOLD
 
 log = logging.getLogger("h2mor")
@@ -129,12 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _LoadError(Exception):
-    """A load or validation error, reported by :func:`main` as exit 1."""
+    """A load, validation or write error, reported by :func:`main` as exit 1."""
 
 
 @contextmanager
-def _loading():
-    """A command's load phase: its errors become :class:`_LoadError`."""
+def _io_phase():
+    """A command's load or write phase: its errors become :class:`_LoadError`."""
     try:
         yield
     except (ModelReductionError, OSError, ValueError) as exc:
@@ -153,7 +152,7 @@ def _fmt_shifts(data: InterpolationData) -> str:
 
 
 def cmd_reduce(args) -> int:
-    with _loading():
+    with _io_phase():
         if args.r < 1:
             raise ValueError("--r must be >= 1")
         inner = IrkaOptions(tol=args.tol, max_iter=args.max_iter,
@@ -164,7 +163,7 @@ def cmd_reduce(args) -> int:
                             outer_max_iter=args.outer_max_iter,
                             max_model_order=args.max_model_order)
         if args.algo == "cirka":
-            n_model = model_function_order(args.init_strategy, args.r, args.nm)
+            n_model = opts.initial_order(args.r)
             if args.max_model_order is not None and args.max_model_order < n_model:
                 raise ValueError(f"--max-model-order {args.max_model_order} is below the "
                                  f"initial model-function order {n_model}")
@@ -184,7 +183,7 @@ def cmd_reduce(args) -> int:
             data0 = bench.initial_data(model, args.r, args.init)
 
     if args.algo == "irka":
-        res = irka(model, data0, inner, ShiftedSolver(model))
+        res = irka(model, data0, inner)
         estimate = None
         k_line = f"k_IRKA = {res.iterations}"
         try:
@@ -192,7 +191,7 @@ def cmd_reduce(args) -> int:
         except ModelReductionError:
             report = None
     else:
-        res = cirka(model, data0, opts, ShiftedSolver(model))
+        res = cirka(model, data0, opts)
         estimate = res.error_estimate
         report = res.optimality_report
         k_line = (f"k_CIRKA = {res.outer_iterations}, "
@@ -217,8 +216,6 @@ def cmd_reduce(args) -> int:
 
     if args.out:
         out = Path(args.out)
-        save_rom_dir(rom, out)
-        (out / "data.json").write_text(json.dumps(data.to_jsonable(), indent=2) + "\n")
         summary = {
             "model": name, "algorithm": args.algo, "r": args.r, "init": args.init,
             "converged": converged, "n_lu_full": counters.full_lu,
@@ -227,14 +224,17 @@ def cmd_reduce(args) -> int:
             "optimality_residual": None if report is None else report.max_residual,
             "n_lu_verify": None if report is None else report.full_lu,
         }
-        (out / "result.json").write_text(json.dumps(summary, indent=2) + "\n")
+        with _io_phase():
+            save_rom_dir(rom, out)
+            write_text(out / "data.json", json.dumps(data.to_jsonable(), indent=2) + "\n")
+            write_text(out / "result.json", json.dumps(summary, indent=2) + "\n")
         print(f"wrote rom and results to {out}")
     return EXIT_OK
 
 
 def cmd_benchmark(args) -> int:
     names = [s for s in args.models.split(",") if s]
-    with _loading():
+    with _io_phase():
         r_values = sorted({int(s) for s in args.r.split(",") if s})
         if not names or not r_values or any(r < 1 for r in r_values):
             raise ValueError("need at least one model and positive orders")
@@ -247,7 +247,8 @@ def cmd_benchmark(args) -> int:
     rows = bench.run_benchmark(models, r_values, init=args.init, algorithms=algos,
                                compute_errors=not args.no_error)
     if args.out:
-        bench.write_results(rows, args.format, args.out)
+        with _io_phase():
+            bench.write_results(rows, args.format, args.out)
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
         print(bench.results_to_string(rows, args.format), end="")
@@ -268,7 +269,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_bode(args) -> int:
-    with _loading():
+    with _io_phase():
         name, model = _load(args.model, args.data_dir)
         roms = [(Path(d).name or d, load_rom_dir(d)) for d in (args.roms or "").split(",") if d]
         wmin, wmax = args.wmin, args.wmax
@@ -303,7 +304,8 @@ def cmd_bode(args) -> int:
         lines.append(",".join(rec))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        with _io_phase():
+            write_text(args.out, text)
         print(f"wrote {args.points} frequency samples to {args.out}")
     else:
         print(text, end="")
@@ -311,7 +313,7 @@ def cmd_bode(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with _loading():
+    with _io_phase():
         _, model = _load(args.model, args.data_dir)
         rom = load_rom_dir(args.rom)
         data_path = Path(args.data) if args.data else Path(args.rom) / "data.json"
@@ -349,6 +351,7 @@ def cmd_verify(args) -> int:
     if args.check in ("equivalence", "all"):
         rep = verify_realization_equivalence(model, data, rom)
         print(f"realization deviation = {rep.max_deviation:.3e} {verdict(rep)}")
+        print(f"n_LU (verification) = {rep.full_lu}")
     return EXIT_VERIFY if failed else EXIT_OK
 
 

@@ -28,6 +28,10 @@ from .model import DENSE_THRESHOLD, StateSpaceModel, project
 
 log = logging.getLogger(__name__)
 
+#: Relative shift distance and tangent angle distance below which a triplet
+#: counts as one the model function already interpolates.
+NEW_TRIPLET_TOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class InterpolationBlock:
@@ -62,13 +66,13 @@ class InterpolationBlock:
                 return False
         return True
 
-    def is_conjugate_of(self, other: "InterpolationBlock", rtol: float = 1e-9) -> bool:
+    def is_conjugate_of(self, other: "InterpolationBlock") -> bool:
         if self.length != other.length:
             return False
-        if abs(self.sigma - other.sigma.conjugate()) > rtol * (1.0 + abs(self.sigma)):
+        if abs(self.sigma - other.sigma.conjugate()) > 1e-9 * (1.0 + abs(self.sigma)):
             return False
         for a, b in ((self.right, other.right), (self.left, other.left)):
-            if np.linalg.norm(a - b.conj()) > rtol * max(np.linalg.norm(a), 1e-300):
+            if np.linalg.norm(a - b.conj()) > 1e-9 * max(np.linalg.norm(a), 1e-300):
                 return False
         return True
 
@@ -90,16 +94,16 @@ def angle_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 1.0 - abs(np.vdot(a, b)) / (na * nb)
 
 
-def same_triplet(existing: InterpolationBlock, new: InterpolationBlock,
-                 shift_tol: float, angle_tol: float) -> bool:
+def same_triplet(existing: InterpolationBlock, new: InterpolationBlock) -> bool:
     """Whether ``new`` repeats the triplet ``existing``.
 
-    The shifts must agree within ``shift_tol`` relative to the existing shift
-    (absolutely when it is zero), both tangents within ``angle_tol``.
+    The shifts must agree within ``NEW_TRIPLET_TOL`` relative to the existing
+    shift (absolutely when it is zero), both tangents in angle distance too.
     """
     d = relative(abs(new.sigma - existing.sigma), abs(existing.sigma))
-    return (d <= shift_tol and angle_distance(existing.right, new.right) <= angle_tol
-            and angle_distance(existing.left, new.left) <= angle_tol)
+    return (d <= NEW_TRIPLET_TOL
+            and angle_distance(existing.right, new.right) <= NEW_TRIPLET_TOL
+            and angle_distance(existing.left, new.left) <= NEW_TRIPLET_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,11 +227,11 @@ class InterpolationData:
             pairing.append((i, partner))
         return tuple(pairing)
 
-    def validate(self, m: int | None = None, p: int | None = None) -> None:
-        """Check tangent dimensions and conjugate closure."""
-        if m is not None and self.m != m:
+    def validate(self, m: int, p: int) -> None:
+        """Check tangent dimensions against a model's m and p, and conjugate closure."""
+        if self.m != m:
             raise ValueError(f"right tangents have size {self.m}, model has m = {m}")
-        if p is not None and self.p != p:
+        if self.p != p:
             raise ValueError(f"left tangents have size {self.p}, model has p = {p}")
         for b in self.blocks:
             if not (np.all(np.isfinite(b.right)) and np.all(np.isfinite(b.left))

@@ -48,7 +48,6 @@ class CostCounters:
     surrogate_lu: int = 0
     surrogate_lu_norecycle: int = 0
     irka_steps_total: int = 0
-    cirka_steps: int = 0
     wall_times: dict = field(default_factory=dict)
 
     def add_time(self, phase: str, seconds: float) -> None:

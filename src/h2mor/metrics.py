@@ -26,16 +26,16 @@ def h2_norm(model: StateSpaceModel) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def h2_norm_quadrature(model: StateSpaceModel, omega_max: float = 1e6,
-                       panels_per_decade: int = 2) -> float:
+def h2_norm_quadrature(model: StateSpaceModel) -> float:
     """H2 norm from the frequency-integral definition (adaptive quadrature).
 
-    Integrates ||G(j w)||_F^2 / pi over [0, omega_max] on log-spaced panels
-    (plus the [0, w_min] head), exploiting conjugate symmetry for the
-    negative axis.  Documented accuracy about 1e-4 relative; intended as an
+    Integrates ||G(j w)||_F^2 / pi over [0, 1e6] on log-spaced panels, two
+    per decade (plus the [0, w_min] head), exploiting conjugate symmetry for
+    the negative axis.  Documented accuracy about 1e-4 relative; intended as an
     independent cross-check of :func:`h2_norm` and for large sparse models
     where the dense Gramian path is unavailable.
     """
+    omega_max, panels_per_decade = 1e6, 2
     if model.n <= DENSE_THRESHOLD:
         mags = np.abs(pencil_eigenvalues(model))
         lo = min(max(mags.min() / 100.0, 1e-8), omega_max / 100.0)

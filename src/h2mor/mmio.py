@@ -73,6 +73,8 @@ def load_matrix_market(path) -> sps.csr_matrix:
         raise ParseError(f"{path}: line {ln}: {fmt} size line needs '{_SIZE_LINE[fmt]}'")
     dims = [number(tok, ln, what, int)
             for tok, what in zip(size, ("row count", "column count", "entry count"))]
+    if min(dims) < 0:
+        raise ParseError(f"{path}: line {ln}: negative size in '{' '.join(size)}'")
     nrows, ncols = dims[:2]
     if symmetry == "symmetric" and nrows != ncols:
         raise ParseError(f"{path}: line {ln}: symmetric {fmt} must be square")
@@ -128,6 +130,14 @@ def load_matrix_market(path) -> sps.csr_matrix:
         M[rows, cols] = vals
         M[cols, rows] = vals
     return sps.csr_matrix(M)
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to a file; a failure raises :class:`IoError`."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_matrix_market(matrix, path) -> None:
@@ -262,7 +272,10 @@ def load_model(manifest: ModelManifest, data_dir=None) -> StateSpaceModel:
 def save_rom_dir(model: StateSpaceModel, directory) -> None:
     """Write a model's matrices as Matrix Market files rom_{E,A,B,C,D}.mtx."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot write {directory}: {exc}") from exc
     for key in _MATRICES:
         write_matrix_market(getattr(model, key), directory / f"rom_{key}.mtx")
 

@@ -77,7 +77,7 @@ def cirka_suite():
     for m, p, seed in irka_suite_cases():
         model = random_stable_model(50, m, p, seed)
         init = InterpolationData.zero_init(4, m, p)
-        runs.append((model, init, cirka(model, init, CIRKA_OPTS, ShiftedSolver(model))))
+        runs.append((model, init, cirka(model, init, CIRKA_OPTS)))
     return runs
 
 

@@ -5,15 +5,17 @@ import pytest
 
 from h2mor import (
     InterpolationData,
+    hermite_reduce,
     make_model,
     pole_residue,
     verify_h2_optimality,
+    verify_realization_equivalence,
     verify_tangential_interpolation,
 )
 from h2mor.cli import main
 from h2mor.mmio import load_rom_dir, save_rom_dir, write_matrix_market
 
-from .helpers import random_stable_model
+from .helpers import random_conjugate_data, random_stable_model
 
 #: Interpolation-data payloads that lack a key, nest a scalar where a pair belongs,
 #: hold no block, or mix tangent sizes.
@@ -43,6 +45,13 @@ COMMANDS = {
     "verify": lambda rom: ["verify", "--model", "bad", "--rom", str(rom)],
     "bode": lambda rom: ["bode", "--model", "bad", "--roms", str(rom)],
     "benchmark": lambda rom: ["benchmark", "--models", "bad", "--r", "1"],
+}
+
+#: Each command that writes ``--out``, run on the model ``toy24``.
+WRITING_COMMANDS = {
+    "reduce": ["reduce", "--model", "toy24", "--r", "2", "--algo", "irka"],
+    "bode": ["bode", "--model", "toy24", "--points", "2"],
+    "benchmark": ["benchmark", "--models", "toy24", "--r", "2", "--algos", "irka"],
 }
 
 #: ``reduce --r 4`` arguments and ``--init file`` data (or None) that the parser
@@ -131,6 +140,14 @@ class TestExitCodes:
         assert main(["bode", "--model", "osc", "--wmin", "1", "--wmax", "2",
                      "--points", "2"]) == 2
         assert_one_line(capsys, "solver failure: ")
+
+    @pytest.mark.parametrize("command", WRITING_COMMANDS)
+    def test_unwritable_out_is_load_error(self, model_tree, tmp_path, capsys, command):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"      # below a regular file
+        assert main([*WRITING_COMMANDS[command], "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
 
 
 class TestConfig:
@@ -258,6 +275,20 @@ class TestVerify:
                         sorted(poles, key=lambda z: (z.real, z.imag))):
             assert abs(a - b) <= 1e-5 * abs(b)
         assert "unstable poles skipped" not in out_text
+
+    def test_equivalence_reports_its_lus(self, model_tree, tmp_path, capsys):
+        model = model_tree[0]
+        data = random_conjugate_data(4, 2, 2, 704)
+        rom, _ = hermite_reduce(model, data)
+        out = tmp_path / "romdir"
+        save_rom_dir(rom, out)
+        (out / "data.json").write_text(json.dumps(data.to_jsonable()))
+        assert main(["verify", "--model", "toy24", "--rom", str(out),
+                     "--check", "equivalence"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("realization deviation = ")
+        rep = verify_realization_equivalence(model, data, load_rom_dir(out))
+        assert lines[1:] == [f"n_LU (verification) = {rep.full_lu}"]
 
     def test_unstable_poles_skipped_line(self, model_tree, tmp_path, capsys):
         out = tmp_path / "unstable"

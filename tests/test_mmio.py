@@ -93,6 +93,14 @@ class TestLoadMatrixMarket:
         with pytest.raises(ParseError, match="line 3: symmetric coordinate must be square"):
             load_matrix_market(path)
 
+    @pytest.mark.parametrize("fmt, size", [("array", "-1 0"), ("coordinate", "-1 -1 0"),
+                                           ("coordinate", "2 2 -1"), ("array", "2 -3")])
+    def test_negative_size_names_file_and_line(self, tmp_path, fmt, size):
+        path = write(tmp_path, "neg.mtx",
+                     f"%%MatrixMarket matrix {fmt} real general\n{size}\n")
+        with pytest.raises(ParseError, match=f"neg.mtx: line 2: negative size in '{size}'"):
+            load_matrix_market(path)
+
     def test_array_format(self, tmp_path):
         path = write(tmp_path, "a.mtx",
                      "%%MatrixMarket matrix array real general\n"
