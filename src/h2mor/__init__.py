@@ -20,7 +20,6 @@ from .cirka import (
 from .interpolation import (
     InterpolationBlock,
     InterpolationData,
-    ProjectionPair,
     hermite_reduce,
     primitive_basis,
     sylvester_residual,
@@ -36,6 +35,7 @@ from .irka import (
 )
 from .linalg import (
     CostCounters,
+    ModalSolver,
     ShiftedSolver,
     generalized_eig,
     orthonormalize_real,
@@ -67,11 +67,11 @@ __all__ = [
     "CirkaOptions", "CirkaResult", "ModelFunction", "cirka", "estimate_error",
     "init_model_function", "update_model_function", "verify_h2_optimality",
     "verify_realization_equivalence",
-    "InterpolationBlock", "InterpolationData", "ProjectionPair", "hermite_reduce",
+    "InterpolationBlock", "InterpolationData", "hermite_reduce",
     "primitive_basis", "sylvester_residual", "verify_tangential_interpolation",
     "IrkaOptions", "IrkaResult", "initial_data_from_spectrum", "irka",
     "shift_convergence", "update_interpolation_data",
-    "CostCounters", "ShiftedSolver", "generalized_eig", "orthonormalize_real",
+    "CostCounters", "ModalSolver", "ShiftedSolver", "generalized_eig", "orthonormalize_real",
     "solve_generalized_lyapunov", "stable_part",
     "CostReport", "bode_samples", "h2_error", "h2_norm", "h2_norm_quadrature",
     "linf_output_bound",

@@ -17,7 +17,14 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import ModelOrderExceeded, RankCollapse, UnstableRom
+from .errors import (
+    DefectiveSpectrum,
+    ModelOrderExceeded,
+    OrderTooLarge,
+    RankCollapse,
+    SingularEr,
+    UnstableRom,
+)
 from .interpolation import (
     InterpolationBlock,
     InterpolationData,
@@ -31,6 +38,7 @@ from .interpolation import (
 from .irka import IrkaOptions, IrkaResult, _mirrored_blocks, irka, shift_convergence
 from .linalg import (
     CostCounters,
+    ModalSolver,
     ShiftedSolver,
     conjugate_pairs,
     is_stable,
@@ -39,7 +47,7 @@ from .linalg import (
     stable_part,
 )
 from .metrics import h2_error
-from .model import StateSpaceModel, eval_transfer, pole_residue
+from .model import StateSpaceModel, eval_transfer, make_model, pole_residue
 
 log = logging.getLogger(__name__)
 
@@ -147,8 +155,22 @@ def _build(model: StateSpaceModel, entries: list, solver: ShiftedSolver,
         columns.append(cols)
     mf = ModelFunction(surrogate=None, history=InterpolationData(tuple(b for b, _ in entries)),
                        columns=tuple(columns))
-    mf.surrogate, _, _ = project_real(model, mf.Vprim, mf.Wprim, mf.history)
+    mf.surrogate = make_model(*project_real(model, mf.Vprim, mf.Wprim, mf.history), model.D)
     return mf
+
+
+def _surrogate_solver(surrogate: StateSpaceModel):
+    """The inner runs' solver: the surrogate's eigendecomposition.
+
+    A surrogate pencil without one (singular E, defective or too large)
+    is factorized at each shift instead, and those LUs count as surrogate
+    LUs.
+    """
+    try:
+        return ModalSolver(surrogate)
+    except (SingularEr, DefectiveSpectrum, OrderTooLarge) as exc:
+        log.debug("surrogate has no eigendecomposition (%s); factorizing it per shift", exc)
+        return ShiftedSolver(surrogate)
 
 
 # -- initialization and update strategies ------------------------------------
@@ -376,7 +398,8 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
             raise RankCollapse(f"model function has order {mf.order} after rank trimming, "
                                f"below r = {r}")
         t0 = perf_counter()
-        inner = irka(mf.surrogate, data, opts.inner, inner_run=True)
+        inner = irka(mf.surrogate, data, opts.inner, _surrogate_solver(mf.surrogate),
+                     inner_run=True)
         counters.add_time("optimization", perf_counter() - t0)
         counters.surrogate_lu += inner.counters.full_lu
         counters.surrogate_lu_norecycle += inner.counters.full_lu_norecycle

@@ -219,7 +219,7 @@ def cmd_reduce(args) -> int:
         summary = {
             "model": name, "algorithm": args.algo, "r": args.r, "init": args.init,
             "converged": converged, "n_lu_full": counters.full_lu,
-            "n_lu_surrogate": counters.surrogate_lu or None,
+            "n_lu_surrogate": counters.surrogate_lu if args.algo == "cirka" else None,
             "rel_h2_error": rel, "rel_h2_estimate": estimate,
             "optimality_residual": None if report is None else report.max_residual,
             "n_lu_verify": None if report is None else report.full_lu,

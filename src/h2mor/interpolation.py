@@ -24,7 +24,7 @@ import scipy.linalg as spla
 
 from .errors import NotConjugateClosed, OrderTooLarge, ParseError, SingularShift
 from .linalg import ShiftedSolver, orthonormalize_real, relative
-from .model import DENSE_THRESHOLD, StateSpaceModel, project
+from .model import DENSE_THRESHOLD, StateSpaceModel, make_model, projected_arrays
 
 log = logging.getLogger(__name__)
 
@@ -282,17 +282,6 @@ class InterpolationData:
         return InterpolationData(tuple(new))
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectionPair:
-    """Primitive complex bases and their real orthonormal counterparts."""
-
-    Vprim: np.ndarray
-    Wprim: np.ndarray
-    V: np.ndarray
-    W: np.ndarray
-    data: InterpolationData
-
-
 def primitive_basis(model: StateSpaceModel, data: InterpolationData, side: str,
                     solver: ShiftedSolver) -> np.ndarray:
     """Raw tangential Krylov columns for one side.
@@ -300,20 +289,17 @@ def primitive_basis(model: StateSpaceModel, data: InterpolationData, side: str,
     Input side: (A - sigma_i E)^{-1} B r_i; output side the transposed dual
     with C^T l_i.  A chain of length q continues with v_{k+1} =
     (A - sigma E)^{-1} E v_k (transposed analogue on the output side), which
-    realizes the Sylvester equation with the Jordan block in S.
+    realizes the Sylvester equation with the Jordan block in S.  ``solver``
+    is a :class:`ShiftedSolver` or a :class:`~h2mor.linalg.ModalSolver` of
+    ``model``.
     """
     if side not in ("input", "output"):
         raise ValueError("side must be 'input' or 'output'")
     transposed = side == "output"
-    Esp = model.ET if transposed else model.E
     cols = []
     for b in data.blocks:
         rhs = model.C.T @ b.left if transposed else model.B @ b.right
-        v = solver.solve(b.sigma, rhs, transposed=transposed)
-        cols.append(v)
-        for _ in range(b.length - 1):
-            v = solver.solve(b.sigma, Esp @ v, transposed=transposed)
-            cols.append(v)
+        cols.extend(solver.chain(b.sigma, rhs, b.length, transposed))
     return np.column_stack(cols)
 
 
@@ -337,15 +323,24 @@ def hermite_reduce(model: StateSpaceModel, data: InterpolationData,
     """Bitangential Hermite interpolant of ``model`` at ``data``.
 
     Builds both primitive bases, folds them to real orthonormal form, and
-    projects.  Returns ``(rom, ProjectionPair)``.  A singular shift is
-    perturbed once ((1+1e-8)*sigma + 1e-8) before giving up, and the pair
-    then carries the perturbed data; rank-deficient bases are trimmed
-    jointly so V and W keep equal column counts.
+    projects.  Returns ``(rom, data)``, where ``data`` is the data actually
+    interpolated: a singular shift is perturbed once ((1+1e-8)*sigma + 1e-8)
+    before giving up.  Rank-deficient bases are trimmed jointly so V and W
+    keep equal column counts.
     """
     if solver is None:
         solver = ShiftedSolver(model)
     data.validate(model.m, model.p)
+    arrays, data = hermite_arrays(model, data, solver)
+    return make_model(*arrays, model.D), data
 
+
+def hermite_arrays(model: StateSpaceModel, data: InterpolationData, solver):
+    """:func:`hermite_reduce` of already validated data, the reduced matrices as dense arrays.
+
+    Returns ``((Er, Ar, Br, Cr), data)``; ``solver`` is a
+    :class:`ShiftedSolver` or a :class:`~h2mor.linalg.ModalSolver` of ``model``.
+    """
     for attempt in (0, 1):
         try:
             Vp = primitive_basis(model, data, "input", solver)
@@ -356,9 +351,7 @@ def hermite_reduce(model: StateSpaceModel, data: InterpolationData,
                 raise
             log.debug("shift %s hit the spectrum; retrying with perturbed data", exc.sigma)
             data = data.perturbed(exc.sigma)
-
-    rom, V, W = project_real(model, Vp, Wp, data)
-    return rom, ProjectionPair(Vprim=Vp, Wprim=Wp, V=V, W=W, data=data)
+    return project_real(model, Vp, Wp, data), data
 
 
 def project_real(model: StateSpaceModel, Vp: np.ndarray, Wp: np.ndarray,
@@ -366,7 +359,8 @@ def project_real(model: StateSpaceModel, Vp: np.ndarray, Wp: np.ndarray,
     """Fold both primitive bases to real orthonormal form and project.
 
     The bases are trimmed to their joint rank so V and W keep equal column
-    counts.  Returns ``(rom, V, W)``.
+    counts.  Returns the projected matrices ``(Er, Ar, Br, Cr)`` as dense
+    arrays.
     """
     V = orthonormalize_real(Vp, data)
     W = orthonormalize_real(Wp, data)
@@ -374,7 +368,7 @@ def project_real(model: StateSpaceModel, Vp: np.ndarray, Wp: np.ndarray,
     if k < max(V.shape[1], W.shape[1]):
         log.debug("trimming projection bases to joint rank %d", k)
         V, W = V[:, :k], W[:, :k]
-    return project(model, V, W), V, W
+    return projected_arrays(model, V, W)
 
 
 @dataclass(frozen=True)

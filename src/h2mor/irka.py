@@ -19,10 +19,10 @@ from .interpolation import (
     InterpolationBlock,
     InterpolationData,
     angle_distance,
-    hermite_reduce,
+    hermite_arrays,
 )
 from .linalg import CostCounters, ShiftedSolver, conjugate_pairs, relative
-from .model import StateSpaceModel, pole_residue
+from .model import StateSpaceModel, make_model, pole_residue, pole_residue_arrays
 
 log = logging.getLogger(__name__)
 
@@ -98,7 +98,11 @@ def update_interpolation_data(rom: StateSpaceModel):
     lost rank gives fewer columns than the data it came from (:func:`irka`
     re-inflates them).  The output is exactly conjugate-closed.
     """
-    prf = pole_residue(rom)
+    return _mirrored_data(pole_residue(rom))
+
+
+def _mirrored_data(prf):
+    """:func:`update_interpolation_data` of the model with pole/residue form ``prf``."""
     lam = prf.poles
     groups = conjugate_pairs(lam, np.lexsort((np.abs(lam.imag), lam.real)))
     blocks, reflected = _mirrored_blocks(prf, groups)
@@ -159,13 +163,16 @@ def _pad_to_order(data: InterpolationData, r: int) -> InterpolationData:
 
 def irka(model: StateSpaceModel, init: InterpolationData,
          opts: IrkaOptions | None = None,
-         solver: ShiftedSolver | None = None, *,
-         inner_run: bool = False) -> IrkaResult:
+         solver=None, *, inner_run: bool = False) -> IrkaResult:
     """Iterate interpolation data to a (local) H2-optimal reduced model.
 
     Runs until the stop criterion falls below ``opts.tol`` or ``max_iter`` is
     reached; hitting the iteration cap is reported through
-    ``converged=False``, not raised.  ``optimal_data`` holds the mirrored
+    ``converged=False``, not raised.  ``solver`` is a :class:`ShiftedSolver`
+    (made when None) or a :class:`~h2mor.linalg.ModalSolver` of ``model``;
+    the run's ``full_lu`` counts its factorizations.  Each step keeps the
+    reduced matrices as dense arrays, and only the returned reduced model
+    is built.  ``optimal_data`` holds the mirrored
     poles and residue tangents of the returned reduced model, re-inflated
     to ``init.r`` columns when the last step lost rank.  A final reduced
     model of order below ``init.r`` raises :class:`RankCollapse`.  Steps
@@ -189,14 +196,14 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     reflected_iters: list[int] = []
     retries = 0
     converged = False
-    rom = None
+    arrays = None
     k = 0
     for k in range(1, opts.max_iter + 1):
         if k > 1:
             solver.drop_factorizations()    # shifts changed; keep memory bounded
-        rom, pair = hermite_reduce(model, data, solver)
-        retries += pair.data is not data
-        new_data, reflected = update_interpolation_data(rom)
+        arrays, used = hermite_arrays(model, data, solver)
+        retries += used is not data
+        new_data, reflected = _mirrored_data(pole_residue_arrays(*arrays))
         if reflected:
             reflected_iters.append(k)
         if new_data.r < init.r:
@@ -216,6 +223,7 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     if retries and not inner_run:
         log.warning("%d of %d IRKA steps perturbed a shift that hit the spectrum",
                     retries, k)
+    rom = make_model(*arrays, model.D)
     if not inner_run and rom.n < init.r:
         raise RankCollapse(f"reduced model has order {rom.n} after rank trimming, "
                            f"below r = {init.r}")

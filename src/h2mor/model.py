@@ -181,6 +181,11 @@ def project(model: StateSpaceModel, V: np.ndarray, W: np.ndarray) -> StateSpaceM
     The feedthrough is carried over unchanged (D_r = D).  Raises
     :class:`RankDeficientProjection` when W^T E V is numerically singular.
     """
+    return make_model(*projected_arrays(model, V, W), model.D)
+
+
+def projected_arrays(model: StateSpaceModel, V: np.ndarray, W: np.ndarray):
+    """The matrices of :func:`project` as dense arrays ``(Er, Ar, Br, Cr)``, same checks."""
     V = np.asarray(V, dtype=float)
     W = np.asarray(W, dtype=float)
     if V.shape != W.shape or V.shape[0] != model.n:
@@ -193,10 +198,7 @@ def project(model: StateSpaceModel, V: np.ndarray, W: np.ndarray) -> StateSpaceM
         raise RankDeficientProjection(
             f"W^T E V numerically singular (smin/smax = {sv[-1]:.2e}/{sv[0]:.2e})"
         )
-    Ar = W.T @ (model.A @ V)
-    Br = W.T @ model.B
-    Cr = model.C @ V
-    return make_model(Er, Ar, Br, Cr, model.D)
+    return Er, W.T @ (model.A @ V), W.T @ model.B, model.C @ V
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,9 +236,15 @@ def pole_residue(model: StateSpaceModel) -> PoleResidueForm:
     """
     if model.n > DENSE_THRESHOLD:
         raise OrderTooLarge(f"pole_residue needs order <= {DENSE_THRESHOLD}, got {model.n}")
+    return pole_residue_arrays(model.E.toarray(), model.A.toarray(), model.B, model.C)
+
+
+def pole_residue_arrays(E: np.ndarray, A: np.ndarray, B: np.ndarray,
+                        C: np.ndarray) -> PoleResidueForm:
+    """:func:`pole_residue` of the model with dense matrices (E, A, B, C)."""
     from .linalg import generalized_eig
 
-    lam, X, Y = generalized_eig(model.A.toarray(), model.E.toarray())
-    b_rows = Y.conj().T @ model.B        # row i = y_i^H B
-    c_rows = (model.C @ X).T             # row i = (C x_i)^T
+    lam, X, Y = generalized_eig(A, E)
+    b_rows = Y.conj().T @ B              # row i = y_i^H B
+    c_rows = (C @ X).T                   # row i = (C x_i)^T
     return PoleResidueForm(poles=lam, input_residues=b_rows, output_residues=c_rows)

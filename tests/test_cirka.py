@@ -17,8 +17,14 @@ from h2mor import (
     verify_realization_equivalence,
     verify_tangential_interpolation,
 )
-from h2mor.errors import ModelOrderExceeded, RankCollapse, UnstableRom
-from h2mor.linalg import ShiftedSolver
+from h2mor.errors import (
+    DefectiveSpectrum,
+    ModelOrderExceeded,
+    RankCollapse,
+    SingularShift,
+    UnstableRom,
+)
+from h2mor.linalg import ModalSolver, ShiftedSolver, generalized_eig
 
 from .helpers import random_conjugate_data, random_stable_model
 
@@ -217,7 +223,8 @@ class TestCirka:
         assert len(res.inner_iterations) == res.outer_iterations
         assert res.counters.irka_steps_total == sum(res.inner_iterations)
         assert res.counters.full_lu >= 1
-        assert res.counters.surrogate_lu > 0
+        # the inner runs solve with the surrogate's eigendecomposition
+        assert res.counters.surrogate_lu == 0
         assert sum(res.new_columns_per_step) >= res.model_function.history.r
 
     def test_model_function_below_r_raises(self):
@@ -272,9 +279,18 @@ class TestCirka:
             cirka(model, InterpolationData.zero_init(4, 1, 1), tight_opts(outer_max_iter=1))
 
     def test_shift_retries_counted_once_per_inner_run(self, monkeypatch, caplog):
-        # an inner run on this model's surrogate keeps perturbing a shift
-        # that lands on the surrogate's spectrum, under either column ordering
-        # of the full-order LU (COLAMD: 27 retries, minimum degree: 58)
+        # the first surrogate solve of every inner run lands on the surrogate's
+        # spectrum, so each inner run perturbs one shift
+        hit = set()
+        chain = ModalSolver.chain
+
+        def first_solve_singular(solver, sigma, *args, **kwargs):
+            if solver not in hit:
+                hit.add(solver)
+                raise SingularShift("shift on the surrogate's spectrum", sigma=sigma)
+            return chain(solver, sigma, *args, **kwargs)
+
+        monkeypatch.setattr(ModalSolver, "chain", first_solve_singular)
         calls = []
         perturbed = InterpolationData.perturbed
         monkeypatch.setattr(InterpolationData, "perturbed",
@@ -284,7 +300,7 @@ class TestCirka:
             res = cirka(model, InterpolationData.zero_init(4, 2, 2), tight_opts())
         assert not res.fallback_direct
         total = sum(ir.shift_retries for ir in res.inner_results)
-        assert total == len(calls) > 0
+        assert total == len(calls) == len(res.inner_results) > 1
         # one summary line per CIRKA run, carrying the total over its inner runs
         summaries = [r.getMessage() for r in caplog.records
                      if "perturbed a shift" in r.getMessage()]
@@ -325,6 +341,70 @@ class TestCirka:
             s = complex(rng.uniform(0.3, 2.0), rng.uniform(-3.0, 3.0))
             Gc, Gi = eval_transfer(res_c.rom, s), eval_transfer(res_i.rom, s)
             assert np.linalg.norm(Gc - Gi) < 1e-6 * np.linalg.norm(Gi)
+
+
+class TestSurrogateSolver:
+    """The inner runs' solver, from one eigendecomposition of the surrogate."""
+
+    @pytest.fixture
+    def surrogate(self):
+        model = random_stable_model(50, 2, 2, 508)
+        return init_model_function(model, random_conjugate_data(4, 2, 2, 509)).surrogate
+
+    @staticmethod
+    def _agree(a, b):
+        return np.linalg.norm(np.asarray(a) - np.asarray(b)) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 0.4 + 1.3j, 2.0 - 0.5j])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_solves_and_chains_match_shifted_solver(self, surrogate, sigma, transposed):
+        modal, sparse = ModalSolver(surrogate), ShiftedSolver(surrogate)
+        rng = np.random.default_rng(0)
+        n = surrogate.n
+        vector = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        block = rng.standard_normal((n, 3))
+        for rhs in (vector, block):
+            assert self._agree(modal.solve(sigma, rhs, transposed),
+                               sparse.solve(sigma, rhs, transposed))
+        cols = modal.chain(sigma, vector, 4, transposed)
+        expected = sparse.chain(sigma, vector, 4, transposed)
+        assert len(cols) == 4
+        for a, b in zip(cols, expected):
+            assert self._agree(a, b)
+        assert modal.lu_count == modal.lu_count_norecycle == 0
+
+    def test_shift_on_a_pole_is_singular(self, surrogate):
+        lam, _, _ = generalized_eig(surrogate.A.toarray(), surrogate.E.toarray())
+        with pytest.raises(SingularShift) as info:
+            ModalSolver(surrogate).solve(lam[0], np.ones(surrogate.n))
+        assert info.value.sigma == lam[0]
+
+    @pytest.mark.parametrize("n, q, r, opts", [
+        # order-2 surrogate: generalized_eig accepts it, at condition number 1e8
+        (8, 2, 1, CirkaOptions()),
+        # order-5 surrogate: generalized_eig rejects the eigenvector matrix
+        (16, 5, 3, CirkaOptions(init_strategy="I1", initial_nM=5)),
+    ], ids=["jordan-2", "jordan-5"])
+    def test_defective_surrogate_factorizes_per_shift(self, n, q, r, opts):
+        # B excites and C observes only a Jordan block of order q at -1, so
+        # the order-q surrogate realizes that block: no usable eigendecomposition
+        A = np.diag(-np.arange(1.0, n + 1))
+        A[:q, :q] = -np.eye(q) + np.eye(q, k=1)
+        B = np.zeros((n, 1))
+        B[q - 1, 0] = 1.0
+        C = np.zeros((1, n))
+        C[0, 0] = 1.0
+        model = make_model(None, A, B, C)
+        init = InterpolationData.zero_init(r, 1, 1)
+        surrogate = init_model_function(model, init, opts).surrogate
+        assert surrogate.n == q
+        with pytest.raises(DefectiveSpectrum):
+            ModalSolver(surrogate)
+        res = cirka(model, init, opts)
+        assert res.converged and not res.fallback_direct
+        assert res.rom.n == r
+        assert res.counters.surrogate_lu > 0
+        assert res.optimality_report.passed(1e-4)
 
 
 class TestVerifyOptimality:

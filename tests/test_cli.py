@@ -98,6 +98,22 @@ def model_tree(tmp_path, monkeypatch):
 
 
 @pytest.fixture
+def cirka_tree(tmp_path, monkeypatch):
+    """``toy60``: CIRKA at r = 4 keeps its model function below the cap n // 2 = 30."""
+    model = random_stable_model(60, 2, 2, 700)
+    register_model(tmp_path, monkeypatch, "toy60", model)
+    return model
+
+
+def reduce_with_cirka(out, caplog):
+    """A tight CIRKA run on ``toy60`` written to ``out``, which must not fall back to IRKA."""
+    with caplog.at_level("WARNING", logger="h2mor"):
+        assert main(["reduce", "--model", "toy60", "--r", "4", "--algo", "cirka",
+                     "--tol", "1e-9", "--outer-tol", "1e-8", "--out", str(out)]) == 0
+    assert not any("falling back" in r.getMessage() for r in caplog.records)
+
+
+@pytest.fixture
 def lag_tree(tmp_path, monkeypatch, scalar_lag):
     d = tmp_path / "lag"
     d.mkdir()
@@ -181,6 +197,15 @@ class TestReduce:
         assert 1 <= summary["n_lu_verify"] <= 4
         assert summary["n_lu_verify"] == verify_h2_optimality(model_tree[0], rom).full_lu
 
+    def test_result_json_surrogate_lus(self, cirka_tree, tmp_path, capsys):
+        # CIRKA writes its surrogate LUs, 0 when its inner runs solve with the
+        # surrogate's eigendecomposition; IRKA has none and writes null
+        for algo, expected in (("cirka", 0), ("irka", None)):
+            out = tmp_path / algo
+            assert main(["reduce", "--model", "toy60", "--r", "4", "--algo", algo,
+                         "--out", str(out)]) == 0
+            assert json.loads((out / "result.json").read_text())["n_lu_surrogate"] == expected
+
     def test_irka_reduce(self, model_tree, capsys):
         code = main(["reduce", "--model", "toy24", "--r", "4", "--algo", "irka",
                      "--tol", "1e-6", "--max-iter", "100"])
@@ -247,13 +272,12 @@ class TestReduce:
 
 
 class TestVerify:
-    def test_roundtrip_verification_passes(self, model_tree, tmp_path, capsys):
-        model = model_tree[0]
+    def test_roundtrip_verification_passes(self, cirka_tree, tmp_path, capsys, caplog):
+        model = cirka_tree
         out = tmp_path / "romdir"
-        assert main(["reduce", "--model", "toy24", "--r", "4", "--algo", "cirka",
-                     "--tol", "1e-9", "--outer-tol", "1e-8", "--out", str(out)]) == 0
+        reduce_with_cirka(out, caplog)
         capsys.readouterr()
-        code = main(["verify", "--model", "toy24", "--rom", str(out),
+        code = main(["verify", "--model", "toy60", "--rom", str(out),
                      "--check", "all", "--tol", "1e-5"])
         out_text = capsys.readouterr().out
         assert code == 0, out_text
@@ -269,11 +293,13 @@ class TestVerify:
         # one line per stable pole, printed as the pole -conj(sigma) of its node
         printed = [complex(line.split()[1].rstrip(":")) for line in lines
                    if line.startswith("  pole ")]
+        # matched to the nearest computed pole: a sort on (Re, Im) can swap the
+        # members of a conjugate pair whose real parts differ in the last bit
         poles = pole_residue(rom).poles
-        assert len(printed) == len(poles)
-        for a, b in zip(sorted(printed, key=lambda z: (z.real, z.imag)),
-                        sorted(poles, key=lambda z: (z.real, z.imag))):
-            assert abs(a - b) <= 1e-5 * abs(b)
+        nearest = [int(np.argmin(np.abs(poles - z))) for z in printed]
+        assert sorted(nearest) == list(range(len(poles)))
+        for z, i in zip(printed, nearest):
+            assert abs(z - poles[i]) <= 1e-5 * abs(poles[i])
         assert "unstable poles skipped" not in out_text
 
     def test_equivalence_reports_its_lus(self, model_tree, tmp_path, capsys):
@@ -311,14 +337,13 @@ class TestVerify:
         assert code == 1
         assert "malformed interpolation data" in capsys.readouterr().err
 
-    def test_perturbed_rom_fails_with_exit_3(self, model_tree, tmp_path, capsys):
+    def test_perturbed_rom_fails_with_exit_3(self, cirka_tree, tmp_path, capsys, caplog):
         out = tmp_path / "romdir"
-        assert main(["reduce", "--model", "toy24", "--r", "4", "--algo", "cirka",
-                     "--tol", "1e-9", "--outer-tol", "1e-8", "--out", str(out)]) == 0
+        reduce_with_cirka(out, caplog)
         rom = load_rom_dir(out)
         perturbed = make_model(rom.E, rom.A * 1.02, rom.B, rom.C, rom.D)
         save_rom_dir(perturbed, out)
-        code = main(["verify", "--model", "toy24", "--rom", str(out),
+        code = main(["verify", "--model", "toy60", "--rom", str(out),
                      "--check", "optimality", "--tol", "1e-6"])
         assert code == 3
         assert "FAIL" in capsys.readouterr().out

@@ -115,10 +115,18 @@ KEYS = ([f"{algo}/{init}/{seed}" for algo in ALGORITHMS for init in INITS
         + [f"spectrum/{seed}" for seed in MODELS])
 
 
+def _deviation(actual, expected) -> float:
+    """Largest deviation relative to 1 + |expected| (inf when the sizes differ)."""
+    a, e = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    if a.shape != e.shape:
+        return np.inf
+    return float(np.max(np.abs(a - e) / (1.0 + np.abs(e)), initial=0.0))
+
+
 def _assert_close(actual, expected, what):
     a, e = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
     assert a.shape == e.shape, f"{what}: {a.size} values, fixture has {e.size}"
-    worst = float(np.max(np.abs(a - e) / (1.0 + np.abs(e)), initial=0.0))
+    worst = _deviation(a, e)
     assert worst <= TOL, f"{what}: deviates by {worst:.2e} (tolerance {TOL:g})"
 
 
@@ -146,9 +154,33 @@ def test_iterates_match_fixture(fixture, key):
         _assert_close(got, exp, f"shift history entry {k}")
 
 
+def _change(key: str, old: dict, new: dict) -> str | None:
+    """One line saying how case ``key`` moved from ``old`` to ``new``, or None."""
+    if key.startswith("spectrum/"):
+        worst = max(_deviation(new[r][name], old[r][name])
+                    if new[r]["lengths"] == old[r]["lengths"] else np.inf
+                    for r in old for name in ("shifts", "right", "left"))
+        return f"{key}: max deviation {worst:.2e}" if worst > 0 else None
+    flags = COUNTERS + ("converged",)
+    worst = (max(map(_deviation, new["shifts"], old["shifts"]), default=0.0)
+             if len(new["shifts"]) == len(old["shifts"]) else np.inf)
+    if worst == 0 and all(new[f] == old[f] for f in flags):
+        return None
+
+    def summary(case):
+        return ", ".join(f"{f} {case[f]}" for f in flags) + f", {len(case['shifts'])} iterates"
+    return f"{key}: {summary(old)} -> {summary(new)}; max shift deviation {worst:.2e}"
+
+
 def write_fixture() -> None:
-    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+    """Recompute every case, print one line per case that moved, write the fixture."""
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     payload = {key: compute(key) for key in KEYS}
+    for key, case in payload.items():
+        line = _change(key, old[key], case) if key in old else f"{key}: new case"
+        if line:
+            print(line)
+    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
     FIXTURE.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
     print(f"wrote {len(payload)} cases to {FIXTURE}")
 
