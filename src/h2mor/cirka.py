@@ -35,7 +35,7 @@ from .interpolation import (
     same_triplet,
     verify_tangential_interpolation,
 )
-from .irka import IrkaOptions, IrkaResult, _mirrored_blocks, irka, shift_convergence
+from .irka import IrkaOptions, IrkaResult, _mirrored_data, irka, shift_convergence
 from .linalg import (
     CostCounters,
     ModalSolver,
@@ -246,17 +246,18 @@ def update_model_function(model: StateSpaceModel, mf: ModelFunction,
 # -- verification and estimation ----------------------------------------------
 
 
-def verify_h2_optimality(full_model: StateSpaceModel,
-                         rom: StateSpaceModel) -> InterpolationReport:
+def verify_h2_optimality(full_model: StateSpaceModel, rom: StateSpaceModel,
+                         solver: ShiftedSolver | None = None) -> InterpolationReport:
     """Check the first-order H2 optimality conditions of ``rom``.
 
     The conditions are bitangential Hermite interpolation of the full model
     at the mirrored rom poles -conj(lambda_i), with the residue directions as
     tangents.  So this is :func:`verify_tangential_interpolation` at the data
-    :func:`~h2mor.irka._mirrored_blocks` builds from the stable poles, one
-    full-order LU per real pole and per conjugate pair.  Unstable poles are
-    left out and set ``skipped_unstable``; a rom with no stable poles at all
-    raises :class:`UnstableRom`.
+    :func:`~h2mor.irka._mirrored_data` builds from the stable poles, one
+    full-order LU per real pole and per conjugate pair that ``solver``
+    (shared as in :func:`verify_tangential_interpolation`) does not hold
+    yet.  Unstable poles are left out and set ``skipped_unstable``; a rom
+    with no stable poles at all raises :class:`UnstableRom`.
     """
     prf = pole_residue(rom)
     lam = prf.poles
@@ -264,8 +265,8 @@ def verify_h2_optimality(full_model: StateSpaceModel,
     stable = [g for g in groups if lam[g[0]].real < 0.0]
     if not stable:
         raise UnstableRom("reduced model has no stable poles to check")
-    blocks, _ = _mirrored_blocks(prf, stable)
-    report = verify_tangential_interpolation(full_model, rom, InterpolationData(blocks))
+    report = verify_tangential_interpolation(full_model, rom, _mirrored_data(prf, stable)[0],
+                                             solver)
     return replace(report, skipped_unstable=len(stable) < len(groups))
 
 
@@ -301,15 +302,19 @@ class EquivalenceReport:
 
 def verify_realization_equivalence(full_model: StateSpaceModel,
                                    opt_data: InterpolationData,
-                                   mf_rom: StateSpaceModel) -> EquivalenceReport:
+                                   mf_rom: StateSpaceModel,
+                                   solver: ShiftedSolver | None = None) -> EquivalenceReport:
     """Compare the CIRKA rom against direct full-model projection at the same data.
 
     Realizations are compared by transfer function (20 logarithmically spaced
     points on the imaginary axis plus 5 random complex points drawn with
-    seed 0), not by matrices.  ``full_lu`` counts the factorizations of the
-    direct projection, the check's own cost.
+    seed 0), not by matrices.  ``full_lu`` counts the factorizations the
+    direct projection adds to ``solver`` (made when None), the check's own
+    cost; a given solver keeps them for the caller to drop.
     """
-    solver = ShiftedSolver(full_model)
+    if solver is None:
+        solver = ShiftedSolver(full_model)
+    lu0 = solver.lu_count
     direct, _ = hermite_reduce(full_model, opt_data, solver)
     mags = np.abs(opt_data.shifts)
     mags = mags[mags > 0]
@@ -327,7 +332,7 @@ def verify_realization_equivalence(full_model: StateSpaceModel,
         Gm = eval_transfer(mf_rom, s)
         worst = max(worst, relative(np.linalg.norm(Gd - Gm), np.linalg.norm(Gd)))
     return EquivalenceReport(max_deviation=float(worst), points=tuple(points),
-                             full_lu=solver.lu_count)
+                             full_lu=solver.lu_count - lu0)
 
 
 # -- the outer loop -----------------------------------------------------------

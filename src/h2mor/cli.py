@@ -26,7 +26,7 @@ from .cirka import (
 from .errors import DimensionMismatch, IoError, ModelReductionError
 from .interpolation import InterpolationData, verify_tangential_interpolation
 from .irka import IrkaOptions, irka
-from .linalg import pencil_eigenvalues
+from .linalg import ShiftedSolver, pencil_eigenvalues
 from .metrics import bode_samples
 from .mmio import find_manifest, load_model, load_rom_dir, save_rom_dir, write_text
 from .model import DENSE_THRESHOLD
@@ -328,6 +328,9 @@ def cmd_verify(args) -> int:
                 f"rom I/O dimensions {(rom.p, rom.m)} do not match model {(model.p, model.m)}")
 
     failed = False
+    # the checks solve at the same nodes (at a converged ROM the stored data
+    # are its mirrored poles), so they share factorizations
+    solver = ShiftedSolver(model)
 
     def verdict(rep) -> str:
         """``(pass at tol)`` or ``(FAIL at tol)``; a failure sets the exit code."""
@@ -337,11 +340,11 @@ def cmd_verify(args) -> int:
         return f"({'pass' if ok else 'FAIL'} at {args.tol:g})"
 
     if args.check in ("interp", "all"):
-        rep = verify_tangential_interpolation(model, rom, data)
+        rep = verify_tangential_interpolation(model, rom, data, solver)
         print(f"interpolation residual = {rep.max_residual:.3e} {verdict(rep)}")
         print(f"n_LU (verification) = {rep.full_lu}")
     if args.check in ("optimality", "all"):
-        rep = verify_h2_optimality(model, rom)
+        rep = verify_h2_optimality(model, rom, solver)
         print(f"optimality residual = {rep.max_residual:.3e} {verdict(rep)}")
         print(f"n_LU (verification) = {rep.full_lu}")
         for e in rep.entries:
@@ -349,7 +352,7 @@ def cmd_verify(args) -> int:
         if rep.skipped_unstable:
             print("  unstable poles skipped")
     if args.check in ("equivalence", "all"):
-        rep = verify_realization_equivalence(model, data, rom)
+        rep = verify_realization_equivalence(model, data, rom, solver)
         print(f"realization deviation = {rep.max_deviation:.3e} {verdict(rep)}")
         print(f"n_LU (verification) = {rep.full_lu}")
     return EXIT_VERIFY if failed else EXIT_OK

@@ -37,6 +37,10 @@ class DefectiveSpectrum(ModelReductionError):
     """Eigenvector matrix too ill-conditioned to trust the eigendecomposition."""
 
 
+class NonFiniteMatrix(ModelReductionError):
+    """A dense kernel was given a matrix with infinite or NaN entries."""
+
+
 class SingularEr(ModelReductionError):
     """The reduced descriptor matrix is singular in a dense eigenproblem."""
 

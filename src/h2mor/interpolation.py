@@ -79,9 +79,12 @@ class InterpolationBlock:
 
 def _frozen_vector(values) -> np.ndarray:
     """A read-only complex 1-D copy of ``values``."""
-    v = np.asarray(values, dtype=complex).reshape(-1).copy()
-    v.flags.writeable = False
-    return v
+    return _read_only(np.asarray(values, dtype=complex).reshape(-1).copy())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def angle_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -138,9 +141,22 @@ class InterpolationData:
         """All shifts at 0 with all-ones tangents: one Jordan chain of length r."""
         return cls((InterpolationBlock(0.0, np.ones(m), np.ones(p), length=r),))
 
-    # -- structure ---------------------------------------------------------
+    @classmethod
+    def _with_pairing(cls, blocks, pairing) -> "InterpolationData":
+        """Data whose maker already knows its conjugate grouping.
 
-    @property
+        ``pairing`` must be the grouping :meth:`conjugate_pairing` computes;
+        it is stored instead of rebuilt from norm tests.
+        """
+        data = cls(blocks)
+        data.__dict__["_pairing"] = tuple(pairing)
+        return data
+
+    # -- structure ---------------------------------------------------------
+    # The blocks never change, so everything derived from them is computed
+    # once; arrays are returned read-only.
+
+    @cached_property
     def r(self) -> int:
         return sum(b.length for b in self.blocks)
 
@@ -152,7 +168,7 @@ class InterpolationData:
     def p(self) -> int:
         return self.blocks[0].left.size
 
-    @property
+    @cached_property
     def column_offsets(self) -> tuple:
         offs, pos = [], 0
         for b in self.blocks:
@@ -160,25 +176,25 @@ class InterpolationData:
             pos += b.length
         return tuple(offs)
 
-    @property
+    @cached_property
     def shifts(self) -> np.ndarray:
         """Per-column shifts (repeated within a chain)."""
-        return np.concatenate([np.full(b.length, b.sigma) for b in self.blocks])
+        return _read_only(np.concatenate([np.full(b.length, b.sigma) for b in self.blocks]))
 
-    @property
+    @cached_property
     def right_tangents(self) -> np.ndarray:
         """Per-column right tangents, (r, m); zero rows on chain tails."""
-        rows = np.zeros((self.r, self.m), dtype=complex)
-        for off, b in zip(self.column_offsets, self.blocks):
-            rows[off] = b.right
-        return rows
+        return self._tangent_rows([b.right for b in self.blocks])
 
-    @property
+    @cached_property
     def left_tangents(self) -> np.ndarray:
-        rows = np.zeros((self.r, self.p), dtype=complex)
-        for off, b in zip(self.column_offsets, self.blocks):
-            rows[off] = b.left
-        return rows
+        return self._tangent_rows([b.left for b in self.blocks])
+
+    def _tangent_rows(self, tangents) -> np.ndarray:
+        rows = np.zeros((self.r, tangents[0].size), dtype=complex)
+        for off, t in zip(self.column_offsets, tangents):
+            rows[off] = t
+        return _read_only(rows)
 
     def S_matrix(self) -> np.ndarray:
         """Block-diagonal of Jordan blocks (sigma on diagonal, 1 above within a chain)."""
@@ -443,20 +459,27 @@ def _dense_shifted_solve(model: StateSpaceModel, s: complex):
 
 
 def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
-                                    data: InterpolationData) -> InterpolationReport:
+                                    data: InterpolationData,
+                                    solver: ShiftedSolver | None = None) -> InterpolationReport:
     """Evaluate the three tangential conditions at every block's node.
 
     For chains only the order-0/1 conditions at the chain shift are checked
     here; higher moments have their own finite-difference tests.  A
-    conjugate pair of nodes shares one full-order LU, one is held at a time,
-    and ``full_lu`` counts them.
+    conjugate pair of nodes shares one full-order LU, and ``full_lu`` counts
+    the LUs the check adds to ``solver``.  Without a solver the check makes
+    its own and holds one LU at a time; a given solver (shared by several
+    checks of ``full``) keeps its factorizations for the caller to drop.
     """
-    solver = ShiftedSolver(full)
+    own = solver is None
+    if own:
+        solver = ShiftedSolver(full)
+    lu0 = solver.lu_count
     entries = [None] * len(data.blocks)
     for group in data.conjugate_pairing():
         for i in group:
             b = data.blocks[i]
             rho = triplet_residuals(full, rom, b.sigma, b.right, b.left, solver)
             entries[i] = TripletResidual(b.sigma, *rho)
-        solver.drop_factorizations()
-    return InterpolationReport(tuple(entries), full_lu=solver.lu_count)
+        if own:
+            solver.drop_factorizations()
+    return InterpolationReport(tuple(entries), full_lu=solver.lu_count - lu0)

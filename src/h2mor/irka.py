@@ -101,24 +101,21 @@ def update_interpolation_data(rom: StateSpaceModel):
     return _mirrored_data(pole_residue(rom))
 
 
-def _mirrored_data(prf):
-    """:func:`update_interpolation_data` of the model with pole/residue form ``prf``."""
-    lam = prf.poles
-    groups = conjugate_pairs(lam, np.lexsort((np.abs(lam.imag), lam.real)))
-    blocks, reflected = _mirrored_blocks(prf, groups)
-    return InterpolationData(blocks), reflected
+def _mirrored_data(prf, groups=None):
+    """Interpolation data at the mirrored poles -conj(lambda) with residue tangents.
 
-
-def _mirrored_blocks(prf, groups):
-    """Blocks at the mirrored poles -conj(lambda) with residue tangents.
-
-    A shift landing in the closed left half-plane has its real part
-    reflected to positive (``reflected`` reports it).  A complex pair is
-    built from its Im > 0 member and its conjugate, so closure is exact.
-    Returns ``(blocks, reflected)``.
+    ``groups`` are conjugate groups of ``prf.poles`` in the format of
+    :func:`~h2mor.linalg.conjugate_pairs`; by default all of them, ordered
+    by (Re, |Im|).  A shift landing in the closed left half-plane has its
+    real part reflected to positive (``reflected`` reports it).  A complex
+    pair is built from its Im > 0 member and its conjugate, so closure is
+    exact, and the data carries the grouping it was built with.  Returns
+    ``(data, reflected)``.
     """
     lam = prf.poles
-    blocks = []
+    if groups is None:
+        groups = conjugate_pairs(lam, np.lexsort((np.abs(lam.imag), lam.real)))
+    blocks, pairing = [], []
     reflected = False
     for group in groups:
         k = group[0] if lam[group[0]].imag > 0 else group[-1]
@@ -126,13 +123,14 @@ def _mirrored_blocks(prf, groups):
         if s.real < 0.0:
             reflected = True
             s = complex(abs(s.real), s.imag)
+        pairing.append(tuple(range(len(blocks), len(blocks) + len(group))))
         if len(group) == 1:
             blocks.append(InterpolationBlock(complex(s.real), prf.input_residues[k].real,
                                              prf.output_residues[k].real))
         else:
             b = InterpolationBlock(s, prf.input_residues[k], prf.output_residues[k])
             blocks.extend([b, b.conjugate()])
-    return blocks, reflected
+    return InterpolationData._with_pairing(blocks, pairing), reflected
 
 
 def _pad_to_order(data: InterpolationData, r: int) -> InterpolationData:
@@ -158,7 +156,8 @@ def _pad_to_order(data: InterpolationData, r: int) -> InterpolationData:
         if deficit == before:
             raise RankCollapse(f"cannot grow {data.r} columns to r = {r} by "
                                "extending conjugate pairs")
-    return InterpolationData(tuple(replace(b, length=q) for b, q in zip(data.blocks, lengths)))
+    return InterpolationData._with_pairing(
+        [replace(b, length=q) for b, q in zip(data.blocks, lengths)], groups)
 
 
 def irka(model: StateSpaceModel, init: InterpolationData,
@@ -203,7 +202,7 @@ def irka(model: StateSpaceModel, init: InterpolationData,
             solver.drop_factorizations()    # shifts changed; keep memory bounded
         arrays, used = hermite_arrays(model, data, solver)
         retries += used is not data
-        new_data, reflected = _mirrored_data(pole_residue_arrays(*arrays))
+        new_data, reflected = _mirrored_data(pole_residue_arrays(*arrays, _e_checked=True))
         if reflected:
             reflected_iters.append(k)
         if new_data.r < init.r:
@@ -253,5 +252,4 @@ def initial_data_from_spectrum(model: StateSpaceModel, r: int) -> InterpolationD
             count += len(group)
     if count != r:
         raise NotConjugateClosed(f"could not pick {r} conjugate-closed shifts from the spectrum")
-    blocks, _ = _mirrored_blocks(prf, groups)
-    return InterpolationData(tuple(blocks))
+    return _mirrored_data(prf, groups)[0]

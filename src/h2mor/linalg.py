@@ -13,10 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as spla
 import scipy.sparse as sps
+from scipy.linalg.blas import get_blas_funcs
+from scipy.linalg.lapack import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 from .errors import (
     DefectiveSpectrum,
+    NonFiniteMatrix,
     OrderTooLarge,
     RankCollapse,
     SingularEr,
@@ -31,6 +34,12 @@ log = logging.getLogger(__name__)
 #: Pivoted-QR diagonal entries below this fraction of the leading one count
 #: as dependent columns.
 QR_DROP_TOL = 1e-12
+
+#: Largest eigenvector condition number :func:`generalized_eig` accepts.
+EIG_COND_LIMIT = 1e12
+
+#: Optimal LAPACK workspace sizes by (routine, argument shape).
+_LWORK = {}
 
 #: Largest eigenvector condition number a :class:`ModalSolver` accepts.  Its
 #: solves lose accuracy with it: the benchmark's surrogates stay below 350
@@ -194,9 +203,8 @@ class ModalSolver:
     lu_count_norecycle = 0
 
     def __init__(self, model: StateSpaceModel):
-        lam, X, Y = generalized_eig(model.A.toarray(), model.E.toarray())
-        if np.linalg.cond(X) > MODAL_COND_LIMIT:
-            raise DefectiveSpectrum(f"eigenvector condition number above {MODAL_COND_LIMIT:g}")
+        lam, X, Y = generalized_eig(model.A.toarray(), model.E.toarray(),
+                                    _cond_limit=MODAL_COND_LIMIT)
         self._lam = lam
         # (into modal coordinates, back to states) for direct and transposed solves
         self._maps = {False: (Y.conj().T, X), True: (X.T, Y.conj())}
@@ -209,7 +217,7 @@ class ModalSolver:
               transposed: bool = False) -> list:
         """The columns :meth:`ShiftedSolver.chain` gives, one division per step."""
         d = self._lam - complex(sigma)
-        if not np.all(d):
+        if not d.all():
             raise SingularShift(f"A - sigma E singular at sigma = {sigma}", sigma=sigma)
         into, back = self._maps[transposed]
         z = into @ rhs
@@ -299,11 +307,18 @@ def conjugate_pairs(lam: np.ndarray, order) -> list:
     return groups
 
 
-def generalized_eig(Ar: np.ndarray, Er: np.ndarray):
+def generalized_eig(Ar: np.ndarray, Er: np.ndarray, *, _er_checked: bool = False,
+                    _cond_limit: float = EIG_COND_LIMIT):
     """Dense generalized eigendecomposition with normalized left eigenvectors.
 
     Returns ``(lam, X, Y)`` with ``Ar X = Er X diag(lam)``,
-    ``Y^H Ar = diag(lam) Y^H Er`` and ``Y^H Er X = I``.
+    ``Y^H Ar = diag(lam) Y^H Er`` and ``Y^H Er X = I``.  A pencil with
+    infinite or NaN entries raises :class:`NonFiniteMatrix`.
+
+    Callers inside the package hand on what they already know:
+    ``_er_checked`` says Er passed :func:`~h2mor.model.projected_arrays`'
+    stricter singularity test, and ``_cond_limit`` lowers the largest
+    eigenvector condition number accepted.
     """
     Ar = np.atleast_2d(np.asarray(Ar))
     Er = np.atleast_2d(np.asarray(Er))
@@ -312,20 +327,85 @@ def generalized_eig(Ar: np.ndarray, Er: np.ndarray):
         raise SingularEr(f"need square matrices of equal size, got {Ar.shape}, {Er.shape}")
     if r > DENSE_THRESHOLD:
         raise OrderTooLarge(f"dense eigensolver limited to order {DENSE_THRESHOLD}, got {r}")
-    sv = np.linalg.svd(Er, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] < 1e-14 * sv[0]:
-        raise SingularEr("Er is numerically singular")
+    if not (np.isfinite(Ar).all() and np.isfinite(Er).all()):
+        raise NonFiniteMatrix("pencil (A, E) has infinite or NaN entries")
+    if not _er_checked:
+        sv = np.linalg.svd(Er, compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] < 1e-14 * sv[0]:
+            raise SingularEr("Er is numerically singular")
 
-    lam, Y, X = spla.eig(Ar, Er, left=True, right=True)
-    if not np.all(np.isfinite(lam)):
+    lam, Y, X = _ggev(Ar, Er)
+    if not np.isfinite(lam).all():
         raise SingularEr("pencil has infinite eigenvalues")
-    if np.linalg.cond(X) > 1e12:
+    sv = np.linalg.svd(X, compute_uv=False)
+    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf      # np.linalg.cond(X)
+    if cond > EIG_COND_LIMIT:
         raise DefectiveSpectrum("right eigenvector matrix has condition number > 1e12")
     d = np.einsum("ij,ij->j", Y.conj(), Er @ X)
     if np.any(np.abs(d) < 1e-14 * np.abs(lam).max(initial=1.0)):
         raise DefectiveSpectrum("left/right eigenvectors nearly E-orthogonal (defective pencil)")
+    if cond > _cond_limit:
+        raise DefectiveSpectrum(f"eigenvector condition number above {_cond_limit:g}")
     Y = Y / d.conj()
     return lam, X, Y
+
+
+def _optimal_lwork(routine, shape, *args, **kwargs):
+    """The workspace size the query ``routine(*args, lwork=-1, **kwargs)`` returns.
+
+    LAPACK's optimal workspace depends only on the routine and the shape of
+    its arguments, so each (routine, shape) is queried once.
+    """
+    key = (routine, shape)
+    lwork = _LWORK.get(key)
+    if lwork is None:
+        lwork = _LWORK[key] = routine(*args, lwork=-1, **kwargs)[-2][0].real.astype(np.int_)
+    return lwork
+
+
+def _ggev(A: np.ndarray, E: np.ndarray):
+    """``spla.eig(A, E, left=True, right=True)`` of a finite pencil, called directly.
+
+    Returns ``(lam, Y, X)``.  The calls are those of scipy's ``_geneig``:
+    ?ggev chosen by ``get_lapack_funcs`` from the arrays, with its optimal
+    workspace; real eigenvector pairs turned into complex vectors; each
+    column divided by its BLAS 2-norm.  So the results are scipy's to the bit.
+    An eigenvalue with beta = 0 raises :class:`SingularEr`, a failed QZ
+    iteration :class:`DefectiveSpectrum`.
+    """
+    ggev, = get_lapack_funcs(("ggev",), (A, E))
+    lwork = _optimal_lwork(ggev, A.shape, A, E)
+    if ggev.typecode in "cz":
+        alpha, beta, vl, vr, _, info = ggev(A, E, 1, 1, lwork, 0, 0)
+    else:
+        alphar, alphai, beta, vl, vr, _, info = ggev(A, E, 1, 1, lwork, 0, 0)
+        alpha = alphar + 1j * alphai
+    if info != 0:
+        raise DefectiveSpectrum(f"QZ iteration failed (?ggev info = {info})")
+    if not beta.all():
+        raise SingularEr("pencil has infinite eigenvalues")
+    lam = alpha / beta
+    if ggev.typecode not in "cz" and lam.imag.any():
+        vl, vr = _complex_eigvecs(lam, vl), _complex_eigvecs(lam, vr)
+    nrm2 = get_blas_funcs("nrm2", dtype=vr.dtype, ilp64="preferred")
+    for v in (vr, vl):
+        v /= [nrm2(col) for col in v.T]
+    return lam, vl, vr
+
+
+def _complex_eigvecs(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Complex eigenvectors from real ?ggev output: a pair's columns hold (Re, Im).
+
+    ?ggev stores a conjugate pair in consecutive columns, the Im > 0 member
+    first, so the first columns of distinct pairs never neighbour each other.
+    """
+    out = np.array(v, dtype=complex)
+    first = lam.imag > 0
+    first[:-1] |= lam.imag[1:] < 0
+    first = np.flatnonzero(first)
+    out.imag[:, first] = v[:, first + 1]
+    out[:, first + 1] = out[:, first].conj()
+    return out
 
 
 def orthonormalize_real(Vprim: np.ndarray, data) -> np.ndarray:
@@ -334,18 +414,40 @@ def orthonormalize_real(Vprim: np.ndarray, data) -> np.ndarray:
     Conjugate column pairs are replaced by (real part, imaginary part), then a
     column-pivoted QR orthonormalizes.  Columns below ``QR_DROP_TOL`` times
     the leading diagonal of R are dropped (logged); the result spans the same
-    real subspace as the primitive basis.
+    real subspace as the primitive basis.  A basis with infinite or NaN
+    entries raises :class:`NonFiniteMatrix`.
     """
     M = realify_columns(Vprim, data)
-    Q, R, _ = spla.qr(M, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
+    if not np.isfinite(M).all():
+        raise NonFiniteMatrix("basis has infinite or NaN entries")
+    if M.size == 0:
+        raise RankCollapse("basis has numerical rank zero")
+    Q, diag = _pivoted_qr(M)
+    diag = np.abs(diag)
+    if diag[0] == 0.0:
         raise RankCollapse("basis has numerical rank zero")
     rank = int(np.sum(diag > QR_DROP_TOL * diag[0]))
     if rank < M.shape[1]:
         log.debug("orthonormalization dropped %d dependent column(s) (rank %d of %d)",
                   M.shape[1] - rank, rank, M.shape[1])
     return Q[:, :rank]
+
+
+def _pivoted_qr(M: np.ndarray):
+    """Q and diag(R) of ``spla.qr(M, mode="economic", pivoting=True)``, called directly.
+
+    The calls are scipy's: ?geqp3, then ?orgqr on its output, each chosen by
+    ``get_lapack_funcs`` and given its optimal workspace, so both are
+    scipy's to the bit.  ``M`` must be finite and nonempty.
+    """
+    geqp3, = get_lapack_funcs(("geqp3",), (M,))
+    qr, _, tau, _, _ = geqp3(M, _optimal_lwork(geqp3, M.shape, M))
+    diag = qr.diagonal().copy()           # ?orgqr overwrites qr
+    orgqr, = get_lapack_funcs(("orgqr",), (qr,))
+    qr = qr[:, :diag.size]
+    Q, _, _ = orgqr(qr, tau, _optimal_lwork(orgqr, qr.shape, qr, tau, overwrite_a=1),
+                    overwrite_a=1)
+    return Q, diag
 
 
 def realify_columns(Vprim: np.ndarray, data) -> np.ndarray:

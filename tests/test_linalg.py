@@ -16,6 +16,7 @@ from h2mor import (
 )
 from h2mor.errors import (
     DefectiveSpectrum,
+    NonFiniteMatrix,
     OrderTooLarge,
     RankCollapse,
     SingularEr,
@@ -24,7 +25,7 @@ from h2mor.errors import (
 )
 from h2mor import linalg
 from h2mor.interpolation import InterpolationData, primitive_basis
-from h2mor.linalg import CostCounters, pencil_eigenvalues
+from h2mor.linalg import QR_DROP_TOL, CostCounters, pencil_eigenvalues, realify_columns
 
 from .helpers import random_conjugate_data, random_stable_model, spring_chain_model
 
@@ -309,6 +310,94 @@ class TestOrthonormalizeReal:
         data = InterpolationData.simple([0.5], [[1.0]], [[1.0]])
         with pytest.raises(RankCollapse):
             orthonormalize_real(np.zeros((5, 1), dtype=complex), data)
+
+
+def _same_bytes(a, b):
+    """Equal dtype, shape and bytes: the same result to the last bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _pencil(kind, n, seed):
+    """A pencil (A, E) of order n; E is a perturbed identity.
+
+    ``real`` has a real spectrum, ``pairs`` n // 2 complex conjugate pairs
+    (plus a real eigenvalue when n is odd), ``complex`` a complex A.
+    """
+    rng = np.random.default_rng(seed)
+    E = np.eye(n) + 0.2 * rng.standard_normal((n, n))
+    if kind == "complex":
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), E
+    blocks = [np.array([[-a, -b], [b, -a]]) for a, b in rng.uniform(0.5, 3.0, (n // 2, 2))]
+    if kind == "real" or n % 2:
+        blocks = [np.diag(-rng.uniform(0.5, 5.0, n if kind == "real" else 1))] + \
+            (blocks if kind == "pairs" else [])
+    T = rng.standard_normal((n, n)) + n * np.eye(n)
+    return E @ T @ spla.block_diag(*blocks) @ np.linalg.inv(T), E
+
+
+class TestDirectLapackCalls:
+    """The small dense kernels call LAPACK as scipy's wrappers do, to the bit.
+
+    A scipy release that changes what its wrappers compute fails here, not in
+    the invariant fixture.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 22])
+    @pytest.mark.parametrize("kind", ["real", "pairs", "complex"])
+    def test_generalized_eig_matches_scipy_eig(self, kind, n):
+        A, E = _pencil(kind, n, 900 + n)
+        w, vl, vr = spla.eig(A, E, left=True, right=True)
+        d = np.einsum("ij,ij->j", vl.conj(), E @ vr)
+        lam, X, Y = generalized_eig(A, E)
+        assert _same_bytes(lam, w)
+        assert _same_bytes(X, vr)
+        assert _same_bytes(Y, vl / d.conj())
+        if kind == "real":
+            assert not lam.imag.any() and X.dtype == float
+        elif n > 1:
+            assert lam.imag.any() and X.dtype == complex
+
+    @pytest.mark.parametrize("shape, rank", [((22, 4), 4), ((8, 8), 8), ((22, 6), 3),
+                                             ((4, 8), 4)],
+                             ids=["tall", "square", "rank-deficient", "wide"])
+    def test_pivoted_qr_matches_scipy_qr(self, shape, rank):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        M = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        Q, diag = linalg._pivoted_qr(M)
+        Qs, Rs, _ = spla.qr(M, mode="economic", pivoting=True)
+        assert _same_bytes(Q, Qs)
+        assert _same_bytes(diag, np.diag(Rs))
+
+    @pytest.mark.parametrize("case", ["chain", "pairs", "duplicates"])
+    def test_orthonormalize_real_matches_scipy_qr(self, case):
+        model = random_stable_model(24, 2, 2, 46)
+        data = {"chain": InterpolationData.zero_init(6, 2, 2),
+                "pairs": random_conjugate_data(5, 2, 2, 47),
+                "duplicates": InterpolationData.simple([0.5, 0.5, 2.0], np.ones((3, 2)),
+                                                       np.ones((3, 2)))}[case]
+        Vp = primitive_basis(model, data, "input", ShiftedSolver(model))
+        Qs, Rs, _ = spla.qr(realify_columns(Vp, data), mode="economic", pivoting=True)
+        diag = np.abs(np.diag(Rs))
+        rank = int(np.sum(diag > QR_DROP_TOL * diag[0]))
+        assert _same_bytes(orthonormalize_real(Vp, data), Qs[:, :rank])
+        if case == "duplicates":
+            assert rank < Vp.shape[1]
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["A", "E"])
+    def test_pencil(self, which, bad):
+        A, E = np.array([[-1.0, 0.0], [0.0, -2.0]]), np.eye(2)
+        (A if which == "A" else E)[0, 0] = bad
+        with pytest.raises(NonFiniteMatrix, match="infinite or NaN"):
+            generalized_eig(A, E)
+
+    def test_basis(self):
+        data = InterpolationData.simple([0.5], [[1.0]], [[1.0]])
+        with pytest.raises(NonFiniteMatrix, match="infinite or NaN"):
+            orthonormalize_real(np.array([[1.0], [np.nan]], dtype=complex), data)
 
 
 class TestGeneralizedLyapunov:
