@@ -254,10 +254,13 @@ def verify_h2_optimality(full_model: StateSpaceModel, rom: StateSpaceModel,
     at the mirrored rom poles -conj(lambda_i), with the residue directions as
     tangents.  So this is :func:`verify_tangential_interpolation` at the data
     :func:`~h2mor.irka._mirrored_data` builds from the stable poles, one
-    full-order LU per real pole and per conjugate pair that ``solver``
-    (shared as in :func:`verify_tangential_interpolation`) does not hold
-    yet.  Unstable poles are left out and set ``skipped_unstable``; a rom
-    with no stable poles at all raises :class:`UnstableRom`.
+    full-order LU per real pole and per conjugate pair, held one at a time.
+    A ``solver`` that already holds the factorizations at all these nodes
+    (a converged rom checked after its stored data) is used instead, and
+    ``full_lu`` is 0; a solver that lacks any of them is left as it is, so
+    a shared solver never holds the LUs of both node sets at once.  Unstable
+    poles are left out and set ``skipped_unstable``; a rom with no stable
+    poles at all raises :class:`UnstableRom`.
     """
     prf = pole_residue(rom)
     lam = prf.poles
@@ -265,8 +268,10 @@ def verify_h2_optimality(full_model: StateSpaceModel, rom: StateSpaceModel,
     stable = [g for g in groups if lam[g[0]].real < 0.0]
     if not stable:
         raise UnstableRom("reduced model has no stable poles to check")
-    report = verify_tangential_interpolation(full_model, rom, _mirrored_data(prf, stable)[0],
-                                             solver)
+    data = _mirrored_data(prf, stable)[0]
+    if solver is not None and not all(map(solver.holds, data.shifts)):
+        solver = None
+    report = verify_tangential_interpolation(full_model, rom, data, solver)
     return replace(report, skipped_unstable=len(stable) < len(groups))
 
 

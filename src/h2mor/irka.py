@@ -202,7 +202,7 @@ def irka(model: StateSpaceModel, init: InterpolationData,
             solver.drop_factorizations()    # shifts changed; keep memory bounded
         arrays, used = hermite_arrays(model, data, solver)
         retries += used is not data
-        new_data, reflected = _mirrored_data(pole_residue_arrays(*arrays, _e_checked=True))
+        new_data, reflected = _mirrored_data(pole_residue_arrays(*arrays))
         if reflected:
             reflected_iters.append(k)
         if new_data.r < init.r:

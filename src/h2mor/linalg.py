@@ -35,9 +35,6 @@ log = logging.getLogger(__name__)
 #: as dependent columns.
 QR_DROP_TOL = 1e-12
 
-#: Largest eigenvector condition number :func:`generalized_eig` accepts.
-EIG_COND_LIMIT = 1e12
-
 #: Optimal LAPACK workspace sizes by (routine, argument shape).
 _LWORK = {}
 
@@ -103,6 +100,11 @@ class ShiftedSolver:
         self._requested = set()
         self._pencil = None       # (M, a, e): M holds a - sigma e, see _pencil_matrix
         self._columns = None      # column order chosen by the first factorization
+
+    def holds(self, sigma: complex) -> bool:
+        """Whether a factorization that serves ``sigma`` is cached."""
+        sigma = complex(sigma)
+        return (sigma.conjugate() if sigma.imag < 0.0 else sigma) in self._cache
 
     def solve(self, sigma: complex, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
         """Return (A - sigma E)^{-1} rhs, or the transposed solve."""
@@ -203,8 +205,9 @@ class ModalSolver:
     lu_count_norecycle = 0
 
     def __init__(self, model: StateSpaceModel):
-        lam, X, Y = generalized_eig(model.A.toarray(), model.E.toarray(),
-                                    _cond_limit=MODAL_COND_LIMIT)
+        lam, X, Y = generalized_eig(model.A.toarray(), model.E.toarray())
+        if np.linalg.cond(X) > MODAL_COND_LIMIT:
+            raise DefectiveSpectrum(f"eigenvector condition number above {MODAL_COND_LIMIT:g}")
         self._lam = lam
         # (into modal coordinates, back to states) for direct and transposed solves
         self._maps = {False: (Y.conj().T, X), True: (X.T, Y.conj())}
@@ -307,18 +310,12 @@ def conjugate_pairs(lam: np.ndarray, order) -> list:
     return groups
 
 
-def generalized_eig(Ar: np.ndarray, Er: np.ndarray, *, _er_checked: bool = False,
-                    _cond_limit: float = EIG_COND_LIMIT):
+def generalized_eig(Ar: np.ndarray, Er: np.ndarray):
     """Dense generalized eigendecomposition with normalized left eigenvectors.
 
     Returns ``(lam, X, Y)`` with ``Ar X = Er X diag(lam)``,
     ``Y^H Ar = diag(lam) Y^H Er`` and ``Y^H Er X = I``.  A pencil with
     infinite or NaN entries raises :class:`NonFiniteMatrix`.
-
-    Callers inside the package hand on what they already know:
-    ``_er_checked`` says Er passed :func:`~h2mor.model.projected_arrays`'
-    stricter singularity test, and ``_cond_limit`` lowers the largest
-    eigenvector condition number accepted.
     """
     Ar = np.atleast_2d(np.asarray(Ar))
     Er = np.atleast_2d(np.asarray(Er))
@@ -329,23 +326,18 @@ def generalized_eig(Ar: np.ndarray, Er: np.ndarray, *, _er_checked: bool = False
         raise OrderTooLarge(f"dense eigensolver limited to order {DENSE_THRESHOLD}, got {r}")
     if not (np.isfinite(Ar).all() and np.isfinite(Er).all()):
         raise NonFiniteMatrix("pencil (A, E) has infinite or NaN entries")
-    if not _er_checked:
-        sv = np.linalg.svd(Er, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < 1e-14 * sv[0]:
-            raise SingularEr("Er is numerically singular")
+    sv = np.linalg.svd(Er, compute_uv=False)
+    if sv[0] == 0.0 or sv[-1] < 1e-14 * sv[0]:
+        raise SingularEr("Er is numerically singular")
 
     lam, Y, X = _ggev(Ar, Er)
     if not np.isfinite(lam).all():
         raise SingularEr("pencil has infinite eigenvalues")
-    sv = np.linalg.svd(X, compute_uv=False)
-    cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf      # np.linalg.cond(X)
-    if cond > EIG_COND_LIMIT:
+    if np.linalg.cond(X) > 1e12:
         raise DefectiveSpectrum("right eigenvector matrix has condition number > 1e12")
     d = np.einsum("ij,ij->j", Y.conj(), Er @ X)
     if np.any(np.abs(d) < 1e-14 * np.abs(lam).max(initial=1.0)):
         raise DefectiveSpectrum("left/right eigenvectors nearly E-orthogonal (defective pencil)")
-    if cond > _cond_limit:
-        raise DefectiveSpectrum(f"eigenvector condition number above {_cond_limit:g}")
     Y = Y / d.conj()
     return lam, X, Y
 

@@ -240,15 +240,11 @@ def pole_residue(model: StateSpaceModel) -> PoleResidueForm:
 
 
 def pole_residue_arrays(E: np.ndarray, A: np.ndarray, B: np.ndarray,
-                        C: np.ndarray, *, _e_checked: bool = False) -> PoleResidueForm:
-    """:func:`pole_residue` of the model with dense matrices (E, A, B, C).
-
-    ``_e_checked`` says E came from :func:`projected_arrays`, whose
-    singularity test is stricter than the eigensolver's.
-    """
+                        C: np.ndarray) -> PoleResidueForm:
+    """:func:`pole_residue` of the model with dense matrices (E, A, B, C)."""
     from .linalg import generalized_eig
 
-    lam, X, Y = generalized_eig(A, E, _er_checked=_e_checked)
+    lam, X, Y = generalized_eig(A, E)
     b_rows = Y.conj().T @ B              # row i = y_i^H B
     c_rows = (C @ X).T                   # row i = (C x_i)^T
     return PoleResidueForm(poles=lam, input_residues=b_rows, output_residues=c_rows)

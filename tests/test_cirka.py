@@ -425,6 +425,28 @@ class TestVerifyOptimality:
         report = verify_h2_optimality(model, perturbed)
         assert report.max_residual > 1e-3
 
+    def test_shared_solver_used_only_when_it_holds_every_node(self):
+        from h2mor import irka, update_interpolation_data
+
+        model = random_stable_model(50, 1, 1, 507)
+        init = InterpolationData.zero_init(4, 1, 1)
+        rom = irka(model, init, IrkaOptions(tol=1e-9, max_iter=250)).rom
+        nodes, _ = update_interpolation_data(rom)
+        groups = len(nodes.conjugate_pairing())
+        solver = ShiftedSolver(model)
+        assert verify_tangential_interpolation(model, rom, nodes, solver).full_lu == groups
+        # at the rom's own mirrored poles the check reuses every factorization
+        shared = verify_h2_optimality(model, rom, solver)
+        assert shared.full_lu == 0 and solver.lu_count == groups
+        assert shared.passed(1e-6)
+        # a perturbed rom has other nodes: the check factorizes on its own,
+        # one LU at a time, and leaves the shared solver as it was
+        perturbed = make_model(rom.E, rom.A * 1.01, rom.B, rom.C, rom.D)
+        alone = verify_h2_optimality(model, perturbed, solver)
+        assert alone.full_lu == groups and solver.lu_count == groups
+        assert all(map(solver.holds, nodes.shifts))
+        assert alone.max_residual == verify_h2_optimality(model, perturbed).max_residual
+
     def test_unstable_poles_skipped_and_flagged(self):
         full = random_stable_model(20, 1, 1, 512)
         rom = make_model(None, np.diag([-1.0, 0.5]), np.ones((2, 1)), np.ones((1, 2)))

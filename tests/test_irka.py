@@ -16,7 +16,8 @@ from h2mor import (
 )
 from h2mor.errors import CardinalityMismatch, DimensionMismatch, RankCollapse
 from h2mor.interpolation import InterpolationBlock
-from h2mor.irka import _pad_to_order
+from h2mor.irka import _mirrored_data, _pad_to_order
+from h2mor.linalg import conjugate_pairs
 
 from .helpers import random_conjugate_data, random_stable_model
 
@@ -180,6 +181,68 @@ class TestPadToOrder:
         data = InterpolationData((self.PAIR, self.PAIR.conjugate()))
         with pytest.raises(RankCollapse):
             _pad_to_order(data, 5)
+
+
+def _real_form_model(poles, m, p, seed):
+    """A model with the given conjugate-closed poles: 1x1 and 2x2 real blocks."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for z in poles:
+        if z.imag == 0.0:
+            blocks.append(np.array([[z.real]]))
+        elif z.imag > 0.0:
+            blocks.append(np.array([[z.real, z.imag], [-z.imag, z.real]]))
+    n = sum(b.shape[0] for b in blocks)
+    A = np.zeros((n, n))
+    k = 0
+    for b in blocks:
+        A[k:k + b.shape[0], k:k + b.shape[0]] = b
+        k += b.shape[0]
+    E = np.eye(n) + 0.1 * np.diag(rng.uniform(size=n - 1), 1)
+    return make_model(E, E @ A, rng.standard_normal((n, m)), rng.standard_normal((p, n)))
+
+
+class TestKnownPairing:
+    """Data built with the conjugate grouping its maker knows pairs its
+    blocks as the norm tests of a fresh InterpolationData do."""
+
+    CASES = [
+        ([-1.0, -2.0, -3.0], 1, 1),
+        ([-1 + 2j, -1 - 2j, -0.5], 2, 1),
+        ([-1 + 2j, -1 - 2j, -1 + 3j, -1 - 3j], 1, 2),
+        ([0.5, -1 + 1j, -1 - 1j, 2 + 3j, 2 - 3j, -4.0], 2, 2),     # reflected
+        ([-1e-3 + 50j, -1e-3 - 50j, -1e3], 1, 1),
+    ]
+
+    @staticmethod
+    def assert_pairing_as_rebuilt(data):
+        assert data.conjugate_pairing() == InterpolationData(data.blocks).conjugate_pairing()
+
+    @pytest.mark.parametrize("poles, m, p", CASES)
+    def test_mirrored_and_padded(self, poles, m, p):
+        prf = pole_residue(_real_form_model(poles, m, p, seed=len(poles)))
+        data, reflected = _mirrored_data(prf)
+        assert reflected == any(z.real > 0.0 for z in poles)
+        self.assert_pairing_as_rebuilt(data)
+        for deficit in (1, 2, 3):
+            if deficit % 2 and all(len(g) == 2 for g in data.conjugate_pairing()):
+                continue
+            self.assert_pairing_as_rebuilt(_pad_to_order(data, data.r + deficit))
+
+    @pytest.mark.parametrize("poles, m, p", CASES)
+    def test_stable_subset(self, poles, m, p):
+        prf = pole_residue(_real_form_model(poles, m, p, seed=len(poles)))
+        lam = prf.poles
+        stable = [g for g in conjugate_pairs(lam, range(len(lam))) if lam[g[0]].real < 0.0]
+        self.assert_pairing_as_rebuilt(_mirrored_data(prf, stable)[0])
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_random_models_and_spectrum_init(self, seed):
+        model = random_stable_model(12, 2, 1, seed)
+        data, _ = _mirrored_data(pole_residue(model))
+        self.assert_pairing_as_rebuilt(data)
+        self.assert_pairing_as_rebuilt(_pad_to_order(data, data.r + 2))
+        self.assert_pairing_as_rebuilt(initial_data_from_spectrum(model, 4))
 
 
 class TestSpectrumInitialization:
