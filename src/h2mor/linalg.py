@@ -44,6 +44,19 @@ _LWORK = {}
 #: (condition number 1e8) passes :func:`generalized_eig` and misses by 4-16 %.
 MODAL_COND_LIMIT = 1e4
 
+#: Column ordering of a :class:`ShiftedSolver`'s first factorization; later
+#: shifts factorize the pencil permuted into it with ``NATURAL``.
+SHIFTED_ORDERING = "MMD_AT_PLUS_A"
+
+#: SuperLU settings for every factorization of a model above
+#: ``DENSE_THRESHOLD``: one-column panels and no relaxed supernodes.  On the
+#: MMD-ordered pencils of 2-D grid models (n = 3600 to 10^4) they cut an LU's
+#: time by about a third and leave pivots, fill and solve times as they are.
+#: Smaller models keep SuperLU's defaults: the roundoff these settings move
+#: turns one small CIRKA run (perfbench dense-batch, model 504) from converged
+#: into a direct-IRKA fallback.
+LARGE_SPLU_OPTIONS = {"panel_size": 1, "relax": 1}
+
 
 @dataclass
 class CostCounters:
@@ -88,7 +101,8 @@ class ShiftedSolver:
     symmetric pencils of discretized models), and the columns of A and E are
     then put in that order, once, so every later shift factorizes the
     permuted pencil without reordering.  ``solve`` maps the permutation
-    back.  The ordering outlives :meth:`drop_factorizations`.
+    back.  The ordering outlives :meth:`drop_factorizations`.  Models above
+    ``DENSE_THRESHOLD`` are factorized with :data:`LARGE_SPLU_OPTIONS`.
     """
 
     def __init__(self, model: StateSpaceModel):
@@ -142,7 +156,7 @@ class ShiftedSolver:
         """LU of A - sigma E, and the column order it was taken in (None: the model's own)."""
         if self._columns is None:
             self._pencil = _pencil_matrix(*_joint_pattern(self.model.A, self.model.E))
-            lu = self._splu(sigma, "MMD_AT_PLUS_A")
+            lu = self._splu(sigma, SHIFTED_ORDERING)
             self._columns = np.argsort(lu.perm_c)
             M, a, e = self._pencil
             self._pencil = _pencil_matrix(*_permute_columns(M.indptr, M.indices, a, e,
@@ -153,8 +167,9 @@ class ShiftedSolver:
     def _splu(self, sigma, ordering):
         M, a, e = self._pencil
         np.subtract(a, sigma * e, out=M.data)
+        options = LARGE_SPLU_OPTIONS if self.model.n > DENSE_THRESHOLD else {}
         try:
-            return splu(M, permc_spec=ordering)
+            return splu(M, permc_spec=ordering, **options)
         except RuntimeError as exc:
             raise SingularShift(f"A - sigma E singular at sigma = {sigma}", sigma=sigma) from exc
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from h2mor import (
+    DENSE_THRESHOLD,
     InterpolationData,
     hermite_reduce,
     make_model,
@@ -176,6 +177,13 @@ class TestConfig:
         assert cfg["cirka_stop_criterion"] == "s0+tanDir"
         assert cfg["init_strategy"] == "I2"
         assert cfg["update_strategy"] == "U2"
+
+    def test_prints_factorization_settings(self, capsys):
+        assert main(["config"]) == 0
+        cfg = json.loads(capsys.readouterr().out)
+        assert cfg["lu_ordering"] == "MMD_AT_PLUS_A"
+        assert cfg["lu_superlu_options"] == {"panel_size": 1, "relax": 1}
+        assert cfg["lu_superlu_options_above_order"] == DENSE_THRESHOLD
 
 
 class TestReduce:

@@ -5,6 +5,7 @@ import scipy.sparse as sps
 from scipy.sparse.linalg import splu
 
 from h2mor import (
+    DENSE_THRESHOLD,
     ShiftedSolver,
     eval_transfer,
     generalized_eig,
@@ -117,6 +118,45 @@ SOLVER_MODELS = {
 }
 
 
+def _assert_equals_fresh_factorizations(model, shifts, rhs, options):
+    """Solve at every shift, then check, bit for bit, that all solutions equal
+    those of a fresh matrix and LU of the (permuted) pencil, factorized with
+    ``options``; every LU is taken from one matrix that each shift rewrites."""
+    solver = ShiftedSolver(model)
+    for sigma in shifts:
+        solver.solve(sigma, rhs[:, 0])
+    pencil = linalg._joint_pattern(model.A, model.E)
+    columns = solver._columns
+    for k, sigma in enumerate(shifts):
+        indptr, indices, a, e = pencil if k == 0 else linalg._permute_columns(*pencil, columns)
+        M = sps.csc_matrix((a - complex(sigma) * e, indices, indptr), shape=model.A.shape)
+        lu = splu(M, permc_spec="MMD_AT_PLUS_A" if k == 0 else "NATURAL", **options)
+        if k == 0:
+            want, want_t = lu.solve(rhs), lu.solve(rhs, trans="T")
+        else:
+            want = np.empty_like(rhs)
+            want[columns] = lu.solve(rhs)
+            want_t = lu.solve(rhs[columns], trans="T")
+        assert solver.solve(sigma, rhs).tobytes() == want.tobytes(), sigma
+        assert solver.solve(sigma, rhs, transposed=True).tobytes() == want_t.tobytes(), sigma
+    return solver
+
+
+def _assert_reused_ordering_keeps_fresh_fill(monkeypatch, model, options):
+    """Every shift of a grid pencil has one pattern, so the reused ordering
+    gives the fill of a fresh minimum-degree ordering, with ``options``."""
+    factors = []
+    real_splu = linalg.splu
+    monkeypatch.setattr(linalg, "splu",
+                        lambda M, *a, **k: factors.append(real_splu(M, *a, **k)) or factors[-1])
+    solver = ShiftedSolver(model)
+    for sigma in (0.5, 1 + 2j):
+        solver.solve(sigma, np.ones(model.n))
+    fresh = real_splu((model.A - (1 + 2j) * model.E).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                      **options)
+    assert factors[1].L.nnz + factors[1].U.nnz == fresh.L.nnz + fresh.U.nnz
+
+
 class TestShiftedSolverOrdering:
     """One fill-reducing ordering per solver, reused at every later shift."""
 
@@ -125,10 +165,10 @@ class TestShiftedSolverOrdering:
     @pytest.mark.parametrize("name", SOLVER_MODELS)
     def test_residuals_and_factorization_calls(self, monkeypatch, name, shifts):
         model = SOLVER_MODELS[name]()
-        orderings = []
+        calls = []
         real_splu = linalg.splu
-        monkeypatch.setattr(linalg, "splu", lambda M, *a, **k: orderings.append(
-            k.get("permc_spec")) or real_splu(M, *a, **k))
+        monkeypatch.setattr(linalg, "splu",
+                            lambda M, *a, **k: calls.append(k) or real_splu(M, *a, **k))
         solver = ShiftedSolver(model)
         rhs = np.random.default_rng(5).standard_normal((model.n, 2)) * (1 + 0.5j)
         for sigma in shifts:
@@ -143,9 +183,10 @@ class TestShiftedSolverOrdering:
         assert solver.lu_count == 3
         solver.drop_factorizations()
         solver.solve(shifts[-1], rhs[:, 0])            # refactorized in the kept ordering
-        assert len(orderings) == solver.lu_count == 4
-        assert orderings[0] != "NATURAL"
-        assert orderings[1:] == ["NATURAL"] * 3
+        assert len(calls) == solver.lu_count == 4
+        assert calls[0]["permc_spec"] != "NATURAL"
+        assert [k["permc_spec"] for k in calls[1:]] == ["NATURAL"] * 3
+        assert all(k.keys() == {"permc_spec"} for k in calls)   # SuperLU's defaults
 
     @pytest.mark.parametrize("name", SOLVER_MODELS)
     def test_joint_pattern_holds_the_pencil_exactly(self, name):
@@ -172,31 +213,10 @@ class TestShiftedSolverOrdering:
 
     @pytest.mark.parametrize("name", SOLVER_MODELS)
     def test_solutions_equal_fresh_factorizations_bit_for_bit(self, name):
-        # every LU is taken from one matrix whose values each shift rewrites;
-        # solving at all shifts after the last rewrite must give, bit for bit,
-        # what a fresh matrix and LU of the (permuted) pencil give
         model = SOLVER_MODELS[name]()
         rhs = np.random.default_rng(6).standard_normal((model.n, 2)) * (1 - 0.25j)
-        shifts = (0.5, 1 + 2j, 0.0, 3 + 1j)
-        solver = ShiftedSolver(model)
-        for sigma in shifts:
-            solver.solve(sigma, rhs[:, 0])
-        pencil = linalg._joint_pattern(model.A, model.E)
-        columns = solver._columns
-        for k, sigma in enumerate(shifts):
-            indptr, indices, a, e = pencil if k == 0 else linalg._permute_columns(*pencil,
-                                                                                  columns)
-            M = sps.csc_matrix((a - complex(sigma) * e, indices, indptr), shape=model.A.shape)
-            lu = splu(M, permc_spec="MMD_AT_PLUS_A" if k == 0 else "NATURAL")
-            if k == 0:
-                want, want_t = lu.solve(rhs), lu.solve(rhs, trans="T")
-            else:
-                want = np.empty_like(rhs)
-                want[columns] = lu.solve(rhs)
-                want_t = lu.solve(rhs[columns], trans="T")
-            assert solver.solve(sigma, rhs).tobytes() == want.tobytes(), sigma
-            assert solver.solve(sigma, rhs, transposed=True).tobytes() == want_t.tobytes(), sigma
-        assert solver.lu_count == len(shifts)
+        solver = _assert_equals_fresh_factorizations(model, (0.5, 1 + 2j, 0.0, 3 + 1j), rhs, {})
+        assert solver.lu_count == 4
 
     def test_one_matrix_per_pattern(self, monkeypatch):
         # a new sparse matrix at every shift is the per-call cost the solver avoids
@@ -215,18 +235,60 @@ class TestShiftedSolverOrdering:
 
     @pytest.mark.parametrize("name", ["heat2d", "cd2d"])
     def test_reused_ordering_keeps_minimum_degree_fill(self, monkeypatch, name):
-        # every shift of a grid pencil has one pattern, so the reused ordering
-        # gives the fill of a fresh minimum-degree ordering at that shift
-        model = SOLVER_MODELS[name]()
-        factors = []
+        _assert_reused_ordering_keeps_fresh_fill(monkeypatch, SOLVER_MODELS[name](), {})
+
+
+#: Grid models just above DENSE_THRESHOLD (n = 2025), factorized with
+#: LARGE_SPLU_OPTIONS.
+LARGE_MODELS = {
+    "heat2d": lambda: grid_model(45, convection=False),
+    "cd2d": lambda: grid_model(45, convection=True),
+}
+
+
+class TestShiftedSolverLargeModels:
+    """SuperLU settings for pencils above DENSE_THRESHOLD."""
+
+    @pytest.fixture(scope="class", params=list(LARGE_MODELS))
+    def model(self, request):
+        model = LARGE_MODELS[request.param]()
+        assert model.n > DENSE_THRESHOLD
+        return model
+
+    def test_solves_have_small_residuals(self, model):
+        solver = ShiftedSolver(model)
+        rhs = np.random.default_rng(7).standard_normal((model.n, 2)) * (1 + 0.5j)
+        for sigma in (0.5, 1 + 2j):
+            M = (model.A - sigma * model.E).tocsc()
+            for transposed in (False, True):
+                x = solver.solve(sigma, rhs, transposed=transposed)
+                res = (M.T if transposed else M) @ x - rhs
+                assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(rhs), (sigma, transposed)
+        assert solver.lu_count == 2
+
+    def test_solutions_equal_fresh_factorizations_bit_for_bit(self, model):
+        rhs = np.random.default_rng(8).standard_normal((model.n, 2)) * (1 - 0.25j)
+        _assert_equals_fresh_factorizations(model, (0.5, 1 + 2j), rhs,
+                                            linalg.LARGE_SPLU_OPTIONS)
+
+    def test_reused_ordering_keeps_fresh_fill(self, monkeypatch, model):
+        _assert_reused_ordering_keeps_fresh_fill(monkeypatch, model, linalg.LARGE_SPLU_OPTIONS)
+
+    @pytest.mark.parametrize("threshold_offset, large", [(-1, True), (0, False)],
+                             ids=["order-above-threshold", "order-at-threshold"])
+    def test_settings_apply_above_the_threshold_only(self, monkeypatch, model,
+                                                     threshold_offset, large):
+        calls = []
         real_splu = linalg.splu
         monkeypatch.setattr(linalg, "splu",
-                            lambda M, *a, **k: factors.append(real_splu(M, *a, **k)) or factors[-1])
+                            lambda M, *a, **k: calls.append(k) or real_splu(M, *a, **k))
+        monkeypatch.setattr(linalg, "DENSE_THRESHOLD", model.n + threshold_offset)
         solver = ShiftedSolver(model)
-        for sigma in (0.5, 1 + 2j):
+        for sigma in (0.5, 1 + 2j, 2.0):
             solver.solve(sigma, np.ones(model.n))
-        fresh = real_splu((model.A - (1 + 2j) * model.E).tocsc(), permc_spec="MMD_AT_PLUS_A")
-        assert factors[1].L.nnz + factors[1].U.nnz == fresh.L.nnz + fresh.U.nnz
+        options = linalg.LARGE_SPLU_OPTIONS if large else {}
+        assert calls == [dict(permc_spec="MMD_AT_PLUS_A", **options)] + \
+            [dict(permc_spec="NATURAL", **options)] * 2
 
 
 class TestCostCounters:
