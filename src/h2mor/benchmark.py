@@ -16,7 +16,7 @@ from .interpolation import InterpolationData
 from .irka import IrkaOptions, initial_data_from_spectrum, irka
 from .metrics import h2_error
 from .mmio import write_text
-from .model import DENSE_THRESHOLD, StateSpaceModel
+from .model import StateSpaceModel
 
 log = logging.getLogger(__name__)
 
@@ -72,12 +72,9 @@ def initial_data(model: StateSpaceModel, r: int, init: str) -> InterpolationData
 
 
 def _rel_error(model, rom) -> float | None:
-    if model.n + rom.n > DENSE_THRESHOLD:
-        return None
     try:
-        _, rel = h2_error(model, rom)
-        return rel
-    except ModelReductionError:     # e.g. an unstable model or rom: infinite error
+        return h2_error(model, rom)[1]
+    except ModelReductionError:     # an unstable rom (infinite error), or n + r too large
         return None
 
 

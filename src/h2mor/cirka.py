@@ -23,6 +23,7 @@ from .errors import (
     OrderTooLarge,
     RankCollapse,
     SingularEr,
+    UnstablePencil,
     UnstableRom,
 )
 from .interpolation import (
@@ -41,7 +42,6 @@ from .linalg import (
     ModalSolver,
     ShiftedSolver,
     conjugate_pairs,
-    is_stable,
     pencil_eigenvalues,
     relative,
     stable_part,
@@ -282,15 +282,12 @@ def estimate_error(mf: ModelFunction, rom: StateSpaceModel):
     estimate = ||G_mf - G_rom||_H2 / ||G_mf||_H2, where the stable part of
     the surrogate is substituted when the surrogate is unstable.
     """
-    surrogate = mf.surrogate
-    used_stable = False
-    if np.max(pencil_eigenvalues(surrogate).real) >= 0.0:
-        surrogate = stable_part(surrogate)
-        used_stable = True
-    if not is_stable(rom):
-        raise UnstableRom("error estimate needs a stable reduced model")
-    _, rel = h2_error(surrogate, rom)
-    return rel, used_stable
+    used_stable = bool(np.max(pencil_eigenvalues(mf.surrogate).real) >= 0.0)
+    surrogate = stable_part(mf.surrogate) if used_stable else mf.surrogate
+    try:
+        return h2_error(surrogate, rom)[1], used_stable
+    except UnstablePencil as exc:       # the surrogate part is stable by now
+        raise UnstableRom("error estimate needs a stable reduced model") from exc
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ import scipy.linalg as spla
 from .errors import NotConjugateClosed, OrderTooLarge, ParseError, SingularShift
 from .linalg import ShiftedSolver, orthonormalize_real, relative
 from .model import DENSE_THRESHOLD, StateSpaceModel, make_model, projected_arrays
+from .model import _transfer_and_derivative
 
 log = logging.getLogger(__name__)
 
@@ -436,15 +437,6 @@ def triplet_residuals(full: StateSpaceModel, rom: StateSpaceModel, s: complex,
     return (relative(np.linalg.norm((G - Gr) @ right), np.linalg.norm(G @ right)),
             relative(np.linalg.norm(left @ (G - Gr)), np.linalg.norm(left @ G)),
             relative(abs(left @ (dG - dGr) @ right), abs(left @ dG @ right)))
-
-
-def _transfer_and_derivative(model: StateSpaceModel, solve):
-    """G(s) and G'(s) from ``solve(rhs) = (A - sE)^{-1} rhs``, one factorization for both.
-
-    With X = (sE - A)^{-1} B: G(s) = C X + D and G'(s) = -C (sE - A)^{-1} E X.
-    """
-    X = -solve(model.B)
-    return model.C @ X + model.D, model.C @ solve(model.E @ X)
 
 
 def _dense_shifted_solve(model: StateSpaceModel, s: complex):

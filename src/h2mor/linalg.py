@@ -484,10 +484,6 @@ def pencil_eigenvalues(model: StateSpaceModel) -> np.ndarray:
     return lam
 
 
-def is_stable(model: StateSpaceModel) -> bool:
-    return bool(np.max(pencil_eigenvalues(model).real) < 0.0)
-
-
 def solve_generalized_lyapunov(A, E, B) -> np.ndarray:
     """Solve A P E^T + E P A^T + B B^T = 0 for symmetric P >= 0.
 

@@ -21,9 +21,12 @@ def h2_norm(model: StateSpaceModel) -> float:
     D != 0 has infinite H2 norm, so callers relying on error metrics must
     ensure D - D_r = 0 themselves).
     """
-    P = solve_generalized_lyapunov(model.A, model.E, model.B)
-    val = float(np.trace(model.C @ P @ model.C.T))
-    return float(np.sqrt(max(val, 0.0)))
+    return _trace_norm(model.C, solve_generalized_lyapunov(model.A, model.E, model.B))
+
+
+def _trace_norm(C: np.ndarray, P: np.ndarray) -> float:
+    """sqrt(trace(C P C^T)): the H2 norm read from a controllability Gramian P."""
+    return float(np.sqrt(max(float(np.trace(C @ P @ C.T)), 0.0)))
 
 
 def h2_norm_quadrature(model: StateSpaceModel) -> float:
@@ -74,8 +77,12 @@ def error_system(full: StateSpaceModel, rom: StateSpaceModel) -> StateSpaceModel
 
 def h2_error(full: StateSpaceModel, rom: StateSpaceModel):
     """Absolute and relative H2 error ||G - G_r||_H2, ||.|| / ||G||_H2."""
-    err = h2_norm(error_system(full, rom))
-    return err, relative(err, h2_norm(full))
+    err = error_system(full, rom)
+    # one solve for both norms: the error system is block diagonal with the
+    # full model first, so its Gramian's leading block is the full model's own
+    P = solve_generalized_lyapunov(err.A, err.E, err.B)
+    absolute = _trace_norm(err.C, P)
+    return absolute, relative(absolute, _trace_norm(full.C, P[:full.n, :full.n]))
 
 
 def linf_output_bound(h2_error_abs: float, input_l2_norm: float) -> float:

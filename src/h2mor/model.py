@@ -170,9 +170,16 @@ def eval_transfer(model: StateSpaceModel, s: complex) -> np.ndarray:
 def eval_transfer_derivative(model: StateSpaceModel, s: complex) -> np.ndarray:
     """Evaluate G'(s) = -C (sE - A)^{-1} E (sE - A)^{-1} B."""
     lu = _shifted_lu(model, complex(s))
-    X1 = lu.solve(model.B.astype(complex))
-    X2 = lu.solve(model.E @ X1)
-    return -(model.C @ X2)
+    return _transfer_and_derivative(model, lambda rhs: -lu.solve(rhs))[1]
+
+
+def _transfer_and_derivative(model: StateSpaceModel, solve):
+    """G(s) and G'(s) from ``solve(rhs) = (A - sE)^{-1} rhs``, one factorization for both.
+
+    With X = (sE - A)^{-1} B: G(s) = C X + D and G'(s) = -C (sE - A)^{-1} E X.
+    """
+    X = -solve(model.B)
+    return model.C @ X + model.D, model.C @ solve(model.E @ X)
 
 
 def project(model: StateSpaceModel, V: np.ndarray, W: np.ndarray) -> StateSpaceModel:

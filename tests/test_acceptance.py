@@ -212,6 +212,25 @@ def test_criterion_6_realization_equivalence(cirka_suite):
            f"{checked} converged runs, worst transfer deviation {worst:.2e}")
 
 
+def test_irka_and_cirka_reach_the_same_optimum(irka_suite, cirka_suite):
+    """Where both converge at order r without fallback, their optimal shifts agree.
+
+    Both runs are local: a few models reach another optimum in each, so 15 of
+    the pairs must agree to 1e-5 and the rest are printed.
+    """
+    gaps = {}
+    for (_, _, seed), (_, init, ri), (_, _, rc) in zip(irka_suite_cases(), irka_suite,
+                                                       cirka_suite):
+        if (ri.converged and rc.converged and not rc.fallback_direct
+                and ri.rom.n == rc.rom.n == init.r):
+            gaps[seed] = shift_convergence(ri.optimal_data, rc.optimal_data)
+    agree = [gap for gap in gaps.values() if gap <= 1e-5]
+    apart = ", ".join(f"model {seed} ({gap:.3f})" for seed, gap in gaps.items() if gap > 1e-5)
+    report("same optimum (IRKA vs CIRKA)", len(agree) >= 15,
+           f"{len(agree)}/{len(gaps)} pairs agree within 1e-5 (worst {max(agree, default=0):.1e}); "
+           f"other local optima: {apart or 'none'}")
+
+
 cdplayer_available = benchmark_files_available("cdplayer")
 beam_available = benchmark_files_available("beam")
 gyro_available = benchmark_files_available("gyro")

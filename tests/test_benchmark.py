@@ -1,9 +1,13 @@
 import importlib
 
+import numpy as np
 import pytest
+import scipy.sparse as sps
 
+from h2mor import h2_error, make_model
 from h2mor.benchmark import (
     BenchmarkRow,
+    _rel_error,
     format_float,
     initial_data,
     read_results_json,
@@ -11,7 +15,7 @@ from h2mor.benchmark import (
     run_benchmark,
     write_results,
 )
-from h2mor.errors import IoError
+from h2mor.errors import IoError, OrderTooLarge
 
 from .helpers import random_stable_model, spring_chain_model
 
@@ -65,6 +69,16 @@ class TestRunBenchmark:
         for row in rows:
             if row.converged and row.rel_h2_error is not None:
                 assert 0.0 < row.rel_h2_error < 1.5
+
+    def test_error_above_dense_limit_is_missing(self):
+        # n + r = 2002: the Lyapunov solver refuses before it densifies
+        n = 2001
+        full = make_model(None, sps.diags(-np.arange(1.0, n + 1.0), format="csc"),
+                          np.ones((n, 1)), np.ones((1, n)))
+        rom = make_model(None, [[-1.0]], [[1.0]], [[1.0]])
+        with pytest.raises(OrderTooLarge):
+            h2_error(full, rom)
+        assert _rel_error(full, rom) is None
 
     def test_empty_model_list(self):
         assert run_benchmark({}, [2]) == []

@@ -24,7 +24,8 @@ from h2mor.errors import (
     SingularShift,
     UnstableRom,
 )
-from h2mor.linalg import ModalSolver, ShiftedSolver, generalized_eig
+from h2mor.cirka import ModelFunction
+from h2mor.linalg import ModalSolver, ShiftedSolver, generalized_eig, stable_part
 
 from .helpers import random_conjugate_data, random_stable_model
 
@@ -479,6 +480,18 @@ class TestEstimateError:
         bad = make_model(None, [[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(UnstableRom):
             estimate_error(mf, bad)
+
+    def test_unstable_surrogate_uses_its_stable_part(self):
+        surrogate = make_model(None, np.diag([-1.0, -2.0, 0.5]), np.ones((3, 1)),
+                               np.ones((1, 3)))
+        mf = ModelFunction(surrogate=surrogate, history=InterpolationData.zero_init(1, 1, 1),
+                           columns=())
+        rom = make_model(None, [[-1.5]], [[1.0]], [[1.0]])
+        est, used = estimate_error(mf, rom)
+        assert used
+        assert est == pytest.approx(h2_error(stable_part(surrogate), rom)[1], rel=1e-12)
+        with pytest.raises(UnstableRom):
+            estimate_error(mf, make_model(None, [[1.0]], [[1.0]], [[1.0]]))
 
     def test_estimate_underestimates_on_oscillatory_model(self):
         # weakly damped chain, hard at r=4: the surrogate-based estimate

@@ -14,7 +14,7 @@ from h2mor import (
 from h2mor.errors import FeedthroughMismatch, NegativeInput, UnstablePencil
 from h2mor.metrics import CostReport, error_system
 
-from .helpers import random_stable_model
+from .helpers import random_stable_model, spring_chain_model
 
 
 class TestH2Norm:
@@ -63,6 +63,13 @@ class TestH2Error:
         direct = h2_norm(error_system(full, rom))
         assert absolute == pytest.approx(direct, rel=1e-10)
         assert relative == pytest.approx(direct / h2_norm(full), rel=1e-10)
+
+    def test_definitional_identity_lightly_damped(self):
+        full = spring_chain_model(100, seed=5)
+        rom = random_stable_model(6, 1, 1, 316)
+        _, relative = h2_error(full, rom)
+        direct = h2_norm(error_system(full, rom)) / h2_norm(full)
+        assert relative == pytest.approx(direct, rel=1e-10)
 
     def test_unrelated_rom_has_large_error(self):
         full = random_stable_model(12, 2, 2, 313)

@@ -26,7 +26,7 @@ from h2mor import (
     verify_tangential_interpolation,
 )
 from h2mor.errors import OrderTooLarge, SingularShift
-from h2mor.linalg import is_stable
+from h2mor.linalg import pencil_eigenvalues
 
 from .helpers import irka_suite_cases, random_conjugate_data, random_stable_model
 
@@ -86,7 +86,7 @@ def test_optimality_nodes_are_the_irka_shifts(irka_roms):
     """The check and IRKA's update share one mirror rule."""
     compared = 0
     for _, model, res in irka_roms:
-        if not is_stable(res.rom):
+        if np.max(pencil_eigenvalues(res.rom).real) >= 0.0:
             continue
         data, _ = update_interpolation_data(res.rom)
         if any(b.length > 1 for b in data.blocks):      # repeated poles
