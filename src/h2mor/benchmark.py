@@ -6,7 +6,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from time import perf_counter
 
@@ -140,10 +140,6 @@ def _run_cell(name, model, r, algo, data0, init, compute_errors) -> BenchmarkRow
                         converged=res.converged, init=init)
 
 
-def _row_to_dict(row: BenchmarkRow) -> dict:
-    return {f.name: getattr(row, f.name) for f in fields(BenchmarkRow)}
-
-
 def results_to_string(rows, fmt: str) -> str:
     """Serialize rows as CSV (pinned column schema) or JSON (mirrors fields)."""
     if fmt == "csv":
@@ -151,7 +147,7 @@ def results_to_string(rows, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            d = _row_to_dict(row)
+            d = asdict(row)
             record = []
             for col in CSV_COLUMNS:
                 v = d[col]
@@ -166,7 +162,7 @@ def results_to_string(rows, fmt: str) -> str:
             writer.writerow(record)
         return buf.getvalue()
     if fmt == "json":
-        return json.dumps({"rows": [_row_to_dict(row) for row in rows]}, indent=2) + "\n"
+        return json.dumps({"rows": [asdict(row) for row in rows]}, indent=2) + "\n"
     raise ValueError(f"unknown format '{fmt}' (csv or json)")
 
 

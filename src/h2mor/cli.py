@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None, help="results file (default stdout)")
     p.add_argument("--compare", action="store_true",
-                   help="print paired rows with speedup and the cost-comparison flag")
+                   help="per (model, r): both full-order LU counts, time ratio, 'cirka cheaper'")
     p.add_argument("--no-error", action="store_true")
     _add_common(p)
 

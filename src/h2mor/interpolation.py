@@ -22,9 +22,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as spla
 
-from .errors import NotConjugateClosed, OrderTooLarge, ParseError, SingularShift
+from .errors import NotConjugateClosed, ParseError, SingularShift
 from .linalg import ShiftedSolver, orthonormalize_real, relative
-from .model import DENSE_THRESHOLD, StateSpaceModel, make_model, projected_arrays
+from .model import StateSpaceModel, make_model, projected_arrays
 from .model import _transfer_and_derivative
 
 log = logging.getLogger(__name__)
@@ -441,10 +441,8 @@ def triplet_residuals(full: StateSpaceModel, rom: StateSpaceModel, s: complex,
 
 def _dense_shifted_solve(model: StateSpaceModel, s: complex):
     """``rhs -> (A - sE)^{-1} rhs`` for a reduced-order model, from one dense LU."""
-    if model.n > DENSE_THRESHOLD:
-        raise OrderTooLarge(f"dense evaluation limited to order {DENSE_THRESHOLD}, "
-                            f"got {model.n}")
-    lu, piv = spla.lu_factor(model.A.toarray() - s * model.E.toarray())
+    E, A = model.dense()[:2]
+    lu, piv = spla.lu_factor(A - s * E)
     if not np.all(np.diag(lu)):
         raise SingularShift(f"A - sigma E singular at sigma = {s}", sigma=s)
     return lambda rhs: spla.lu_solve((lu, piv), rhs)

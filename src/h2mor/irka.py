@@ -58,11 +58,6 @@ class IrkaResult:
     shift_retries: int = 0
 
 
-def _sorted_column_order(data: InterpolationData) -> np.ndarray:
-    s = data.shifts
-    return np.lexsort((s.imag, s.real))
-
-
 def shift_convergence(prev: InterpolationData, new: InterpolationData,
                       criterion: str = "shifts_only") -> float:
     """Distance between two interpolation data sets of equal cardinality.
@@ -76,7 +71,7 @@ def shift_convergence(prev: InterpolationData, new: InterpolationData,
         raise ValueError(f"criterion must be one of {STOP_CRITERIA}")
     if prev.r != new.r:
         raise CardinalityMismatch(f"data sets have {prev.r} and {new.r} columns")
-    ip, iq = _sorted_column_order(prev), _sorted_column_order(new)
+    ip, iq = (np.lexsort((d.shifts.imag, d.shifts.real)) for d in (prev, new))
     sp, sq = prev.shifts[ip], new.shifts[iq]
     dist = relative(np.linalg.norm(sq - sp), np.linalg.norm(sp))
     if criterion == "shifts_and_tangents":

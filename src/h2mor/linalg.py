@@ -8,6 +8,7 @@ extraction) are only meant for reduced/surrogate orders, guarded by
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import (
     DefectiveSpectrum,
+    DimensionMismatch,
     NonFiniteMatrix,
     OrderTooLarge,
     RankCollapse,
@@ -209,9 +211,9 @@ class ModalSolver:
     :class:`ShiftedSolver`'s.  A shift is singular only when some
     lambda_k - sigma is exactly zero, as a pivot is for SuperLU.
 
-    Construction raises what :func:`generalized_eig` raises for a pencil
-    without such a decomposition (:class:`SingularEr`,
-    :class:`DefectiveSpectrum`, :class:`OrderTooLarge`), and
+    Construction raises :class:`OrderTooLarge` above ``DENSE_THRESHOLD``,
+    what :func:`generalized_eig` raises for a pencil without such a
+    decomposition (:class:`SingularEr`, :class:`DefectiveSpectrum`), and
     :class:`DefectiveSpectrum` when X is worse conditioned than
     ``MODAL_COND_LIMIT``.
     """
@@ -220,7 +222,8 @@ class ModalSolver:
     lu_count_norecycle = 0
 
     def __init__(self, model: StateSpaceModel):
-        lam, X, Y = generalized_eig(model.A.toarray(), model.E.toarray())
+        E, A = model.dense()[:2]
+        lam, X, Y = generalized_eig(A, E)
         if np.linalg.cond(X) > MODAL_COND_LIMIT:
             raise DefectiveSpectrum(f"eigenvector condition number above {MODAL_COND_LIMIT:g}")
         self._lam = lam
@@ -336,7 +339,7 @@ def generalized_eig(Ar: np.ndarray, Er: np.ndarray):
     Er = np.atleast_2d(np.asarray(Er))
     r = Ar.shape[0]
     if Ar.shape != Er.shape or Ar.shape[1] != r:
-        raise SingularEr(f"need square matrices of equal size, got {Ar.shape}, {Er.shape}")
+        raise DimensionMismatch(f"need square matrices of equal size, got {Ar.shape}, {Er.shape}")
     if r > DENSE_THRESHOLD:
         raise OrderTooLarge(f"dense eigensolver limited to order {DENSE_THRESHOLD}, got {r}")
     if not (np.isfinite(Ar).all() and np.isfinite(Er).all()):
@@ -476,9 +479,8 @@ def realify_columns(Vprim: np.ndarray, data) -> np.ndarray:
 
 def pencil_eigenvalues(model: StateSpaceModel) -> np.ndarray:
     """Generalized eigenvalues of (A, E) for a dense-convertible model."""
-    if model.n > DENSE_THRESHOLD:
-        raise OrderTooLarge(f"dense eigenvalues limited to order {DENSE_THRESHOLD}, got {model.n}")
-    lam = spla.eigvals(model.A.toarray(), model.E.toarray())
+    E, A = model.dense()[:2]
+    lam = spla.eigvals(A, E)
     if not np.all(np.isfinite(lam)):
         raise StructurallySingularE("E is numerically singular (infinite eigenvalues)")
     return lam
@@ -487,9 +489,9 @@ def pencil_eigenvalues(model: StateSpaceModel) -> np.ndarray:
 def solve_generalized_lyapunov(A, E, B) -> np.ndarray:
     """Solve A P E^T + E P A^T + B B^T = 0 for symmetric P >= 0.
 
-    The pencil (A, E) must be stable.  E is factored once to transform to a
-    standard continuous Lyapunov equation, solved by the Schur (Bartels-
-    Stewart) method.  Dense path only.
+    The pencil (A, E) must be stable and E nonsingular.  E is factored once to
+    transform to a standard Lyapunov equation in F = E^{-1} A, solved by the
+    Schur (Bartels-Stewart) method.  Dense path only.
     """
     n = np.shape(A)[0]
     if n > DENSE_THRESHOLD:
@@ -500,15 +502,24 @@ def solve_generalized_lyapunov(A, E, B) -> np.ndarray:
     if Bd.ndim == 1:
         Bd = Bd.reshape(-1, 1)
 
-    lam = spla.eigvals(Ad, Ed)
-    if not np.all(np.isfinite(lam)):
-        raise StructurallySingularE("E is numerically singular")
-    if np.max(lam.real) >= 0.0:
-        raise UnstablePencil(f"pencil not stable: max Re(lambda) = {np.max(lam.real):.3e}")
-
-    F = spla.solve(Ed, Ad)
-    Q = spla.solve(Ed, Bd)
-    P = spla.solve_continuous_lyapunov(F, -Q @ Q.T)
+    try:
+        F = spla.solve(Ed, Ad)
+        Q = spla.solve(Ed, Bd)
+    except np.linalg.LinAlgError as exc:
+        raise StructurallySingularE("E is numerically singular") from exc
+    # spla.solve_continuous_lyapunov(F, -Q @ Q.T) call by call; the stability test
+    # reads Re(lambda) off the diagonal of LAPACK's standardized real Schur form
+    T, Z = spla.schur(F, output="real")
+    if T.diagonal().max() >= 0.0:
+        raise UnstablePencil(f"pencil not stable: max Re(lambda) = {T.diagonal().max():.3e}")
+    trsyl, = get_lapack_funcs(("trsyl",), (T,))
+    y, scale, info = trsyl(T, T, Z.T.dot((-Q @ Q.T).dot(Z)), tranb="T")
+    if info < 0:
+        raise ValueError(f"?trsyl: illegal value in argument {-info}")
+    if info == 1:
+        warnings.warn("F has an eigenvalue pair summing to nearly zero; ?trsyl perturbed "
+                      "the solution", RuntimeWarning, stacklevel=2)
+    P = Z.dot(y * scale).dot(Z.T)
     return (P + P.T) / 2.0
 
 

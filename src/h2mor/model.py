@@ -62,7 +62,9 @@ class StateSpaceModel:
         return self.C.shape[0]
 
     def dense(self):
-        """Return (E, A, B, C, D) with E, A converted to dense arrays."""
+        """(E, A, B, C, D) with E, A dense: the one place a model is densified."""
+        if self.n > DENSE_THRESHOLD:
+            raise OrderTooLarge(f"dense kernels limited to order {DENSE_THRESHOLD}, got {self.n}")
         return self.E.toarray(), self.A.toarray(), self.B, self.C, self.D
 
     def __repr__(self):
@@ -241,9 +243,7 @@ def pole_residue(model: StateSpaceModel) -> PoleResidueForm:
     Only for dense-convertible models (order <= DENSE_THRESHOLD) with simple
     eigenvalues; higher multiplicities are out of scope.
     """
-    if model.n > DENSE_THRESHOLD:
-        raise OrderTooLarge(f"pole_residue needs order <= {DENSE_THRESHOLD}, got {model.n}")
-    return pole_residue_arrays(model.E.toarray(), model.A.toarray(), model.B, model.C)
+    return pole_residue_arrays(*model.dense()[:4])
 
 
 def pole_residue_arrays(E: np.ndarray, A: np.ndarray, B: np.ndarray,

@@ -9,6 +9,7 @@ from h2mor import (
     ShiftedSolver,
     eval_transfer,
     generalized_eig,
+    irka,
     make_model,
     orthonormalize_real,
     pole_residue,
@@ -17,16 +18,25 @@ from h2mor import (
 )
 from h2mor.errors import (
     DefectiveSpectrum,
+    DimensionMismatch,
     NonFiniteMatrix,
     OrderTooLarge,
     RankCollapse,
     SingularEr,
     SingularShift,
+    StructurallySingularE,
     UnstablePencil,
 )
 from h2mor import linalg
-from h2mor.interpolation import InterpolationData, primitive_basis
-from h2mor.linalg import QR_DROP_TOL, CostCounters, pencil_eigenvalues, realify_columns
+from h2mor.interpolation import InterpolationData, _dense_shifted_solve, primitive_basis
+from h2mor.linalg import (
+    QR_DROP_TOL,
+    CostCounters,
+    ModalSolver,
+    pencil_eigenvalues,
+    realify_columns,
+)
+from h2mor.metrics import error_system
 
 from .helpers import random_conjugate_data, random_stable_model, spring_chain_model
 
@@ -333,6 +343,38 @@ class TestGeneralizedEig:
         with pytest.raises(OrderTooLarge):
             generalized_eig(np.eye(n), np.eye(n))
 
+    @pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((2, 3), (2, 3))])
+    def test_shape_mismatch(self, shapes):
+        # a shape bug is not a singular Er, which CIRKA reads as "factorize per shift"
+        with pytest.raises(DimensionMismatch):
+            generalized_eig(np.ones(shapes[0]), np.ones(shapes[1]))
+
+
+class TestDenseOnlyThroughModel:
+    """Every dense kernel of a model densifies it through ``StateSpaceModel.dense``."""
+
+    @pytest.fixture
+    def large(self, monkeypatch):
+        n = DENSE_THRESHOLD + 1
+        model = make_model(None, sps.diags(-np.arange(1.0, n + 1.0)), np.ones((n, 1)),
+                           np.ones((1, n)))
+
+        def refuse():
+            raise AssertionError("densified a model above DENSE_THRESHOLD")
+
+        monkeypatch.setattr(model.E, "toarray", refuse)
+        monkeypatch.setattr(model.A, "toarray", refuse)
+        return model
+
+    @pytest.mark.parametrize("kernel", [
+        lambda m: m.dense(), pole_residue, pencil_eigenvalues, ModalSolver,
+        lambda m: _dense_shifted_solve(m, 1.0),
+    ], ids=["dense", "pole_residue", "pencil_eigenvalues", "ModalSolver",
+            "dense_shifted_solve"])
+    def test_order_too_large_before_densifying(self, large, kernel):
+        with pytest.raises(OrderTooLarge):
+            kernel(large)
+
 
 class TestOrthonormalizeReal:
     def test_all_real_basis(self):
@@ -483,6 +525,34 @@ class TestGeneralizedLyapunov:
     def test_unstable_pencil(self):
         with pytest.raises(UnstablePencil):
             solve_generalized_lyapunov(np.diag([-1.0, 0.5]), np.eye(2), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("A", [
+        spla.block_diag([[-1.0]], [[0.5, 2.0], [-2.0, 0.5]]),   # a 2x2 real Schur block
+        np.diag([-1.0, 0.0]),
+    ], ids=["complex-pair", "zero"])
+    def test_unstable_schur_diagonal(self, A):
+        n = A.shape[0]
+        with pytest.raises(UnstablePencil):
+            solve_generalized_lyapunov(A, np.eye(n), np.ones((n, 1)))
+
+    def test_singular_E(self):
+        with pytest.raises(StructurallySingularE):
+            solve_generalized_lyapunov(-np.eye(2), np.ones((2, 2)), np.ones((2, 1)))
+
+    @pytest.mark.parametrize("case", ["mass-matrix", "spring-chain-error"])
+    def test_bit_identical_to_scipy(self, case):
+        if case == "mass-matrix":
+            model = random_stable_model(12, 2, 1, 51)
+        else:
+            full = spring_chain_model(100, seed=5)
+            rom = irka(full, InterpolationData.zero_init(4, full.m, full.p)).rom
+            model = error_system(full, rom)
+        E, A, B = model.E.toarray(), model.A.toarray(), model.B
+        assert not np.array_equal(E, np.eye(model.n))
+        Q = spla.solve(E, B)
+        ref = spla.solve_continuous_lyapunov(spla.solve(E, A), -Q @ Q.T)
+        P = solve_generalized_lyapunov(model.A, model.E, model.B)
+        assert np.array_equal(P, (ref + ref.T) / 2.0)
 
 
 class TestStablePart:
