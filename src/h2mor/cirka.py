@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -36,13 +37,12 @@ from .interpolation import (
     same_triplet,
     verify_tangential_interpolation,
 )
-from .irka import IrkaOptions, IrkaResult, _mirrored_data, irka, shift_convergence
+from .irka import IrkaOptions, IrkaResult, _mirrored_data, _settled, irka
 from .linalg import (
     CostCounters,
     ModalSolver,
     ShiftedSolver,
     conjugate_pairs,
-    pencil_eigenvalues,
     relative,
     stable_part,
 )
@@ -53,8 +53,6 @@ log = logging.getLogger(__name__)
 
 INIT_STRATEGIES = ("I1", "I2")
 UPDATE_STRATEGIES = ("U1", "U2", "U3")
-#: The outer loop stops when shifts and tangent directions stop moving.
-OUTER_STOP_CRITERION = "shifts_and_tangents"
 
 
 @dataclass
@@ -280,14 +278,17 @@ def estimate_error(mf: ModelFunction, rom: StateSpaceModel):
 
     Returns ``(estimate, used_stable_part)`` with
     estimate = ||G_mf - G_rom||_H2 / ||G_mf||_H2, where the stable part of
-    the surrogate is substituted when the surrogate is unstable.
+    the surrogate is substituted when the error system's Gramian finds the
+    surrogate unstable.
     """
-    used_stable = bool(np.max(pencil_eigenvalues(mf.surrogate).real) >= 0.0)
-    surrogate = stable_part(mf.surrogate) if used_stable else mf.surrogate
     try:
-        return h2_error(surrogate, rom)[1], used_stable
-    except UnstablePencil as exc:       # the surrogate part is stable by now
-        raise UnstableRom("error estimate needs a stable reduced model") from exc
+        return h2_error(mf.surrogate, rom)[1], False
+    except UnstablePencil:
+        surrogate = stable_part(mf.surrogate)
+    if surrogate is not mf.surrogate:
+        with suppress(UnstablePencil):      # if so, the rom is unstable
+            return h2_error(surrogate, rom)[1], True
+    raise UnstableRom("error estimate needs a stable reduced model")
 
 
 @dataclass(frozen=True)
@@ -366,11 +367,13 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
 
     Alternates model-function updates on the full model with IRKA runs on the
     surrogate, warm-starting each inner run with the previous optimal data,
-    until the optimal data stops moving (``outer_tol``) or ``outer_max_iter``
-    is hit.  If an update would exceed the order cap, the run falls
-    back to direct IRKA on the full model, flags it and adds that run's time
-    to its counters.  Inner steps that perturbed a shift off the spectrum
-    are summarized in one warning per run.
+    until the optimal data pass IRKA's stop test at ``outer_tol`` or
+    ``outer_max_iter`` is hit; ``converged`` also needs a converged last
+    inner run.  If an update would exceed the order cap, the run falls back
+    to direct IRKA on the full model, flags it, reports that run's
+    ``converged`` and adds its time to the counters.  Inner steps that
+    perturbed a shift off the spectrum are summarized in one warning per
+    run.
     """
     opts = opts or CirkaOptions()
     solver = ShiftedSolver(model)
@@ -413,11 +416,10 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
         counters.irka_steps_total += inner.iterations
         inner_results.append(inner)
 
-        dist = shift_convergence(data, inner.optimal_data, OUTER_STOP_CRITERION)
+        converged = _settled(data, inner.optimal_data, opts.outer_tol)
         data = inner.optimal_data
-        log.debug("cirka outer step %d: data distance %.3e (n_M = %d)", k, dist, mf.order)
-        if dist <= opts.outer_tol:
-            converged = True
+        log.debug("cirka outer step %d: settled %s (n_M = %d)", k, converged, mf.order)
+        if converged:
             break
 
     retries = sum(ir.shift_retries for ir in inner_results)
@@ -433,10 +435,15 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
         counters.irka_steps_total += direct.iterations
         inner_results.append(direct)
     else:
-        rom = inner_results[-1].rom
+        last = inner_results[-1]
+        rom = last.rom
         if rom.n < r:
             raise RankCollapse(f"reduced model has order {rom.n} after rank trimming, "
                                f"below r = {r}")
+        if converged and not last.converged:
+            converged = False
+            log.warning("CIRKA's data settled, but its last inner IRKA run %s", "ended unstable"
+                        if last.iterations in last.reflected_iterations else "hit max_iter")
 
     counters.full_lu = solver.lu_count
     counters.full_lu_norecycle = solver.lu_count_norecycle

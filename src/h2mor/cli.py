@@ -17,7 +17,6 @@ import numpy as np
 
 from . import benchmark as bench
 from .cirka import (
-    OUTER_STOP_CRITERION,
     CirkaOptions,
     cirka,
     verify_h2_optimality,
@@ -33,9 +32,6 @@ from .model import DENSE_THRESHOLD
 
 log = logging.getLogger("h2mor")
 
-_STOP_NAMES = {"s0": "shifts_only", "s0+tanDir": "shifts_and_tangents"}
-_STOP_LABELS = {v: k for k, v in _STOP_NAMES.items()}
-
 EXIT_OK = 0
 EXIT_LOAD = 1
 EXIT_SOLVER = 2
@@ -49,8 +45,7 @@ def default_config() -> dict:
     return {
         "tol": io.tol,
         "max_iter": io.max_iter,
-        "irka_stop_criterion": _STOP_LABELS[io.stop_criterion],
-        "cirka_stop_criterion": _STOP_LABELS[OUTER_STOP_CRITERION],
+        "stop_criterion": "s0+tanDir",
         "init_strategy": co.init_strategy,
         "update_strategy": co.update_strategy,
         "outer_tol": co.outer_tol,
@@ -86,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-file", default=None, help="interpolation data JSON for --init file")
     p.add_argument("--tol", type=float, default=IrkaOptions().tol)
     p.add_argument("--max-iter", type=int, default=IrkaOptions().max_iter)
-    p.add_argument("--stop-criterion", choices=sorted(_STOP_NAMES), default="s0")
     p.add_argument("--init-strategy", choices=["I1", "I2"], default="I2")
     p.add_argument("--update-strategy", choices=["U1", "U2", "U3"], default="U2")
     p.add_argument("--nm", type=int, default=None, help="initial model-function order (default 2r)")
@@ -160,8 +154,7 @@ def cmd_reduce(args) -> int:
     with _io_phase():
         if args.r < 1:
             raise ValueError("--r must be >= 1")
-        inner = IrkaOptions(tol=args.tol, max_iter=args.max_iter,
-                            stop_criterion=_STOP_NAMES[args.stop_criterion])
+        inner = IrkaOptions(tol=args.tol, max_iter=args.max_iter)
         opts = CirkaOptions(inner=inner, init_strategy=args.init_strategy,
                             update_strategy=args.update_strategy,
                             initial_nM=args.nm, outer_tol=args.outer_tol,

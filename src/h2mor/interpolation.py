@@ -88,14 +88,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def angle_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - |cos(angle)| between two tangent directions (0 when both vanish)."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 and nb == 0.0:
-        return 0.0
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    return 1.0 - abs(np.vdot(a, b)) / (na * nb)
+def angle_distance(a: np.ndarray, b: np.ndarray):
+    """1 - |cos(angle)| between tangent directions (rows of matrices).
+
+    0 where both vanish and 1 where only one does.
+    """
+    na, nb = np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1)
+    den = na * nb
+    cos = np.abs(np.sum(np.conj(a) * b, axis=-1)) / np.where(den > 0.0, den, 1.0)
+    return np.where(den > 0.0, 1.0 - cos, np.maximum(na, nb) > 0.0)
 
 
 def same_triplet(existing: InterpolationBlock, new: InterpolationBlock) -> bool:

@@ -26,24 +26,19 @@ from .model import StateSpaceModel, make_model, pole_residue, pole_residue_array
 
 log = logging.getLogger(__name__)
 
-STOP_CRITERIA = ("shifts_only", "shifts_and_tangents")
-
 
 @dataclass
 class IrkaOptions:
-    """Convergence controls; defaults follow the reference experiment settings."""
+    """Stop-test tolerance and step cap; defaults follow the reference experiments."""
 
     tol: float = 1e-3
     max_iter: int = 50
-    stop_criterion: str = "shifts_only"
 
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.stop_criterion not in STOP_CRITERIA:
-            raise ValueError(f"stop_criterion must be one of {STOP_CRITERIA}")
 
 
 @dataclass
@@ -58,28 +53,33 @@ class IrkaResult:
     shift_retries: int = 0
 
 
-def shift_convergence(prev: InterpolationData, new: InterpolationData,
-                      criterion: str = "shifts_only") -> float:
+def shift_convergence(prev: InterpolationData, new: InterpolationData) -> float:
     """Distance between two interpolation data sets of equal cardinality.
 
-    Shifts are matched by sorting on (Re, Im); the distance is the relative
-    2-norm of the shift difference (absolute when the previous set is all
-    zero).  With ``shifts_and_tangents`` the max over matched tangent angle
-    distances 1 - |cos(angle)| (both sides) is folded in.
+    Columns are matched by sorting the shifts on (Re, Im).  The distance is
+    the larger of the relative 2-norm of the shift difference (absolute
+    when the previous set is all zero) and the largest tangent angle
+    distance 1 - |cos(angle)| of matched columns, both sides: the criterion
+    ``s0+tanDir``, since the H2 optimality conditions fix tangents too.  On
+    SISO data the tangent part is 0 up to rounding, which leaves ``s0``.
     """
-    if criterion not in STOP_CRITERIA:
-        raise ValueError(f"criterion must be one of {STOP_CRITERIA}")
+    return float(max(_distances(prev, new)))
+
+
+def _settled(prev: InterpolationData, new: InterpolationData, tol: float) -> bool:
+    """``shift_convergence(prev, new) <= tol``, reading tangents only once shifts pass."""
+    return all(d <= tol for d in _distances(prev, new))
+
+
+def _distances(prev: InterpolationData, new: InterpolationData):
+    """Yield the shift distance, then the tangent distance."""
     if prev.r != new.r:
         raise CardinalityMismatch(f"data sets have {prev.r} and {new.r} columns")
     ip, iq = (np.lexsort((d.shifts.imag, d.shifts.real)) for d in (prev, new))
-    sp, sq = prev.shifts[ip], new.shifts[iq]
-    dist = relative(np.linalg.norm(sq - sp), np.linalg.norm(sp))
-    if criterion == "shifts_and_tangents":
-        rp, rq = prev.right_tangents[ip], new.right_tangents[iq]
-        lp, lq = prev.left_tangents[ip], new.left_tangents[iq]
-        for k in range(prev.r):
-            dist = max(dist, angle_distance(rp[k], rq[k]), angle_distance(lp[k], lq[k]))
-    return float(dist)
+    sp = prev.shifts[ip]
+    yield relative(np.linalg.norm(new.shifts[iq] - sp), np.linalg.norm(sp))
+    yield max(np.max(angle_distance(prev.right_tangents[ip], new.right_tangents[iq])),
+              np.max(angle_distance(prev.left_tangents[ip], new.left_tangents[iq])))
 
 
 def update_interpolation_data(rom: StateSpaceModel):
@@ -160,21 +160,22 @@ def irka(model: StateSpaceModel, init: InterpolationData,
          solver=None, *, inner_run: bool = False) -> IrkaResult:
     """Iterate interpolation data to a (local) H2-optimal reduced model.
 
-    Runs until the stop criterion falls below ``opts.tol`` or ``max_iter`` is
-    reached; hitting the iteration cap is reported through
-    ``converged=False``, not raised.  ``solver`` is a :class:`ShiftedSolver`
-    (made when None) or a :class:`~h2mor.linalg.ModalSolver` of ``model``;
-    the run's ``full_lu`` counts its factorizations.  Each step keeps the
-    reduced matrices as dense arrays, and only the returned reduced model
-    is built.  ``optimal_data`` holds the mirrored
-    poles and residue tangents of the returned reduced model, re-inflated
-    to ``init.r`` columns when the last step lost rank.  A final reduced
-    model of order below ``init.r`` raises :class:`RankCollapse`.  Steps
-    that had to perturb a shift off the spectrum are counted in
-    ``shift_retries`` and summarized in one warning.  ``inner_run`` marks
-    one of CIRKA's inner runs: its next outer step starts from the
-    re-inflated data, so a low order does not raise, and CIRKA sums the
-    retries of all its inner runs into one warning of its own.
+    Runs until :func:`shift_convergence` falls below ``opts.tol`` or
+    ``max_iter`` is reached.  Hitting the cap, or settling on a step that
+    reflected an unstable pole (the returned model keeps it; one warning),
+    is reported through ``converged=False``, not raised.
+    ``solver`` is a :class:`ShiftedSolver` (made when None) or a
+    :class:`~h2mor.linalg.ModalSolver` of ``model``; the run's ``full_lu``
+    counts its factorizations.  Each step keeps the reduced matrices as
+    dense arrays, and only the returned reduced model is built.
+    ``optimal_data`` holds the mirrored poles and residue tangents of the
+    returned reduced model, re-inflated to ``init.r`` columns when the last
+    step lost rank.  A final reduced model of order below ``init.r`` raises
+    :class:`RankCollapse`.  Steps that had to perturb a shift off the
+    spectrum are counted in ``shift_retries`` and summarized in one
+    warning.  ``inner_run`` marks one of CIRKA's inner runs: its next outer
+    step starts from the re-inflated data, so a low order does not raise,
+    and CIRKA reports its runs' retries and convergence itself.
     """
     opts = opts or IrkaOptions()
     if solver is None:
@@ -189,9 +190,6 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     history = [data]
     reflected_iters: list[int] = []
     retries = 0
-    converged = False
-    arrays = None
-    k = 0
     for k in range(1, opts.max_iter + 1):
         if k > 1:
             solver.drop_factorizations()    # shifts changed; keep memory bounded
@@ -200,20 +198,19 @@ def irka(model: StateSpaceModel, init: InterpolationData,
         new_data, reflected = _mirrored_data(pole_residue_arrays(*arrays))
         if reflected:
             reflected_iters.append(k)
+        settled = new_data.r == init.r and _settled(data, new_data, opts.tol)
         if new_data.r < init.r:
             log.debug("iteration %d: order fell to %d after rank trim; re-inflating",
                       k, new_data.r)
             new_data = _pad_to_order(new_data, init.r)
-            dist = np.inf
-        else:
-            dist = shift_convergence(data, new_data, opts.stop_criterion)
         data = new_data
         history.append(data)
-        log.debug("irka iteration %d: distance %.3e", k, dist)
-        if dist <= opts.tol:
-            converged = True
+        log.debug("irka iteration %d: settled %s", k, settled)
+        if settled:
             break
-
+    if settled and reflected and not inner_run:
+        log.warning("IRKA settled at step %d on a reflected pole: the reduced model "
+                    "is unstable, not converged", k)
     if retries and not inner_run:
         log.warning("%d of %d IRKA steps perturbed a shift that hit the spectrum",
                     retries, k)
@@ -227,7 +224,8 @@ def irka(model: StateSpaceModel, init: InterpolationData,
         irka_steps_total=k,
     )
     counters.add_time("optimization", perf_counter() - t0)
-    return IrkaResult(rom=rom, optimal_data=data, iterations=k, converged=converged,
+    return IrkaResult(rom=rom, optimal_data=data, iterations=k,
+                      converged=settled and not reflected,
                       shift_history=history, counters=counters,
                       reflected_iterations=reflected_iters, shift_retries=retries)
 

@@ -344,8 +344,7 @@ def test_criterion_11_io_roundtrips_and_defaults(tmp_path, capsys):
     cfg = json.loads(capsys.readouterr().out)
     cfg_ok = (cfg["tol"] == 1e-3 and cfg["max_iter"] == 50
               and cfg["init_strategy"] == "I2" and cfg["update_strategy"] == "U2"
-              and cfg["irka_stop_criterion"] == "s0"
-              and cfg["cirka_stop_criterion"] == "s0+tanDir")
+              and cfg["stop_criterion"] == "s0+tanDir")
     ok = mm_ok and json_ok and cfg_ok
     report("criterion 11 (I/O round trips & defaults)", ok,
            f"matrix market identity {mm_ok}, results JSON round trip {json_ok}, "

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -252,12 +254,19 @@ class TestCirka:
         assert len(report.points) == 25
         assert report.passed(1e-6)
 
-    def test_update_condition_invariant(self):
-        # every optimal triplet must appear in the final history within tolerance
+    def test_update_condition_invariant(self, caplog):
+        # every optimal triplet must appear in the final history within
+        # tolerance, whether or not the run converged
         model = random_stable_model(50, 2, 1, 503)
         init = InterpolationData.zero_init(4, 2, 1)
         res = cirka(model, init, tight_opts())
-        assert res.converged
+        # the outer data settle, but every inner run hits max_iter, so the
+        # run is not converged, and one warning says why
+        assert res.outer_iterations < tight_opts().outer_max_iter
+        assert not res.inner_results[-1].converged
+        assert not res.converged
+        assert sum("last inner IRKA run hit max_iter" in r.getMessage()
+                   for r in caplog.records) == 1
         from h2mor.cirka import _find_match
 
         for b in res.optimal_data.blocks:
@@ -492,6 +501,22 @@ class TestEstimateError:
         assert est == pytest.approx(h2_error(stable_part(surrogate), rom)[1], rel=1e-12)
         with pytest.raises(UnstableRom):
             estimate_error(mf, make_model(None, [[1.0]], [[1.0]], [[1.0]]))
+
+    def test_stable_surrogate_goes_straight_to_the_gramian(self, monkeypatch):
+        # only an unstable error system sends the surrogate to stable_part;
+        # for an unstable rom it returns the stable surrogate itself
+        surrogate = make_model(None, np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)))
+        mf = ModelFunction(surrogate=surrogate, history=InterpolationData.zero_init(1, 1, 1),
+                           columns=())
+        calls = []
+        monkeypatch.setattr(sys.modules["h2mor.cirka"], "stable_part",
+                            lambda model: calls.append(model) or stable_part(model))
+        est, used = estimate_error(mf, make_model(None, [[-1.5]], [[1.0]], [[1.0]]))
+        assert not used and calls == []
+        assert est == h2_error(surrogate, make_model(None, [[-1.5]], [[1.0]], [[1.0]]))[1]
+        with pytest.raises(UnstableRom):
+            estimate_error(mf, make_model(None, [[1.0]], [[1.0]], [[1.0]]))
+        assert calls == [surrogate]
 
     def test_estimate_underestimates_on_oscillatory_model(self):
         # weakly damped chain, hard at r=4: the surrogate-based estimate

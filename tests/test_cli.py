@@ -173,8 +173,8 @@ class TestConfig:
         cfg = json.loads(capsys.readouterr().out)
         assert cfg["tol"] == 1e-3
         assert cfg["max_iter"] == 50
-        assert cfg["irka_stop_criterion"] == "s0"
-        assert cfg["cirka_stop_criterion"] == "s0+tanDir"
+        assert cfg["stop_criterion"] == "s0+tanDir"
+        assert not any(key.endswith("_stop_criterion") for key in cfg)
         assert cfg["init_strategy"] == "I2"
         assert cfg["update_strategy"] == "U2"
 
