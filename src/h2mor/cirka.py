@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DefectiveSpectrum,
     ModelOrderExceeded,
+    ModelReductionError,
     OrderTooLarge,
     RankCollapse,
     SingularEr,
@@ -291,6 +292,20 @@ def estimate_error(mf: ModelFunction, rom: StateSpaceModel):
     raise UnstableRom("error estimate needs a stable reduced model")
 
 
+def unless_refused(check: str, func, *args):
+    """``func(*args)``, or None and one warning naming the error it raised.
+
+    For the checks run on a finished reduced model: a check that raises a
+    :class:`ModelReductionError` (no stable pole, no usable
+    eigendecomposition, a node on the spectrum) leaves the reduction as it is.
+    """
+    try:
+        return func(*args)
+    except ModelReductionError as exc:
+        log.warning("%s skipped: %s: %s", check, type(exc).__name__, exc)
+        return None
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Transfer-function deviation between a surrogate-derived rom and direct projection."""
@@ -373,7 +388,9 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
     to direct IRKA on the full model, flags it, reports that run's
     ``converged`` and adds its time to the counters.  Inner steps that
     perturbed a shift off the spectrum are summarized in one warning per
-    run.
+    run.  A built-in check of the returned reduced model that is refused
+    (see :func:`unless_refused`) leaves ``error_estimate`` or
+    ``optimality_report`` None.
     """
     opts = opts or CirkaOptions()
     solver = ShiftedSolver(model)
@@ -448,19 +465,12 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
     counters.full_lu = solver.lu_count
     counters.full_lu_norecycle = solver.lu_count_norecycle
 
-    estimate = None
-    used_stable = None
+    estimate = used_stable = report = None
     if opts.compute_error_estimate and mf is not None and not fallback:
-        try:
-            estimate, used_stable = estimate_error(mf, rom)
-        except UnstableRom:
-            log.warning("reduced model unstable; error estimate skipped")
-    report = None
+        estimate, used_stable = unless_refused("error estimate", estimate_error,
+                                               mf, rom) or (None, None)
     if opts.verify_optimality:
-        try:
-            report = verify_h2_optimality(model, rom)
-        except UnstableRom:
-            log.warning("reduced model has no stable poles; optimality check skipped")
+        report = unless_refused("optimality check", verify_h2_optimality, model, rom)
 
     return CirkaResult(rom=rom, model_function=mf, optimal_data=data,
                        outer_iterations=k, counters=counters, error_estimate=estimate,

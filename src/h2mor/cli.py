@@ -19,6 +19,7 @@ from . import benchmark as bench
 from .cirka import (
     CirkaOptions,
     cirka,
+    unless_refused,
     verify_h2_optimality,
     verify_realization_equivalence,
 )
@@ -184,10 +185,7 @@ def cmd_reduce(args) -> int:
         res = irka(model, data0, inner)
         estimate = None
         k_line = f"k_IRKA = {res.iterations}"
-        try:
-            report = verify_h2_optimality(model, res.rom)
-        except ModelReductionError:
-            report = None
+        report = unless_refused("optimality check", verify_h2_optimality, model, res.rom)
     else:
         res = cirka(model, data0, opts)
         estimate = res.error_estimate

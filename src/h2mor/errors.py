@@ -14,9 +14,9 @@ class StructurallySingularE(ModelReductionError):
 
 
 class SingularShift(ModelReductionError):
-    """A - sigma*E (or sE - A) is singular at the requested shift."""
+    """A - sigma*E (or sE - A) is singular at the requested shift, held in ``sigma``."""
 
-    def __init__(self, message, sigma=None):
+    def __init__(self, message, sigma):
         super().__init__(message)
         self.sigma = sigma
 

@@ -365,7 +365,7 @@ def hermite_arrays(model: StateSpaceModel, data: InterpolationData, solver):
             Wp = primitive_basis(model, data, "output", solver)
             break
         except SingularShift as exc:
-            if attempt or exc.sigma is None:
+            if attempt:
                 raise
             log.debug("shift %s hit the spectrum; retrying with perturbed data", exc.sigma)
             data = data.perturbed(exc.sigma)

@@ -40,11 +40,14 @@ QR_DROP_TOL = 1e-12
 #: Optimal LAPACK workspace sizes by (routine, argument shape).
 _LWORK = {}
 
-#: Largest eigenvector condition number a :class:`ModalSolver` accepts.  Its
-#: solves lose accuracy with it: the benchmark's surrogates stay below 350
-#: and match LU solves to 1e-12, while a rotated Jordan block of order 2
-#: (condition number 1e8) passes :func:`generalized_eig` and misses by 4-16 %.
-MODAL_COND_LIMIT = 1e4
+#: Largest condition number of the right eigenvector matrix X that
+#: :func:`generalized_eig` accepts.  Residues, modal solves and the IRKA
+#: update read the pencil through X and Y and lose accuracy with cond(X): a
+#: rotated Jordan block of order 2 (cond(X) = 5e7) makes them 4-16 % wrong.
+#: The benchmark's surrogates, IRKA steps and reduced models stay below 350,
+#: and the full models that ``init="eigs"`` reads stay below 5e3
+#: (convection-diffusion up to n = 1936).
+EIG_COND_LIMIT = 1e4
 
 #: Column ordering of a :class:`ShiftedSolver`'s first factorization; later
 #: shifts factorize the pencil permuted into it with ``NATURAL``.
@@ -211,11 +214,9 @@ class ModalSolver:
     :class:`ShiftedSolver`'s.  A shift is singular only when some
     lambda_k - sigma is exactly zero, as a pivot is for SuperLU.
 
-    Construction raises :class:`OrderTooLarge` above ``DENSE_THRESHOLD``,
-    what :func:`generalized_eig` raises for a pencil without such a
-    decomposition (:class:`SingularEr`, :class:`DefectiveSpectrum`), and
-    :class:`DefectiveSpectrum` when X is worse conditioned than
-    ``MODAL_COND_LIMIT``.
+    Construction raises :class:`OrderTooLarge` above ``DENSE_THRESHOLD`` and
+    otherwise only what :func:`generalized_eig` raises for a pencil without
+    a usable decomposition (:class:`SingularEr`, :class:`DefectiveSpectrum`).
     """
 
     lu_count = 0
@@ -224,8 +225,6 @@ class ModalSolver:
     def __init__(self, model: StateSpaceModel):
         E, A = model.dense()[:2]
         lam, X, Y = generalized_eig(A, E)
-        if np.linalg.cond(X) > MODAL_COND_LIMIT:
-            raise DefectiveSpectrum(f"eigenvector condition number above {MODAL_COND_LIMIT:g}")
         self._lam = lam
         # (into modal coordinates, back to states) for direct and transposed solves
         self._maps = {False: (Y.conj().T, X), True: (X.T, Y.conj())}
@@ -333,7 +332,10 @@ def generalized_eig(Ar: np.ndarray, Er: np.ndarray):
 
     Returns ``(lam, X, Y)`` with ``Ar X = Er X diag(lam)``,
     ``Y^H Ar = diag(lam) Y^H Er`` and ``Y^H Er X = I``.  A pencil with
-    infinite or NaN entries raises :class:`NonFiniteMatrix`.
+    infinite or NaN entries raises :class:`NonFiniteMatrix`; one whose X is
+    worse conditioned than :data:`EIG_COND_LIMIT` raises
+    :class:`DefectiveSpectrum`.  This is the one place that decides whether
+    a small pencil's eigenvectors can be used.
     """
     Ar = np.atleast_2d(np.asarray(Ar))
     Er = np.atleast_2d(np.asarray(Er))
@@ -351,8 +353,9 @@ def generalized_eig(Ar: np.ndarray, Er: np.ndarray):
     lam, Y, X = _ggev(Ar, Er)
     if not np.isfinite(lam).all():
         raise SingularEr("pencil has infinite eigenvalues")
-    if np.linalg.cond(X) > 1e12:
-        raise DefectiveSpectrum("right eigenvector matrix has condition number > 1e12")
+    if np.linalg.cond(X) > EIG_COND_LIMIT:
+        raise DefectiveSpectrum(f"right eigenvector matrix has condition number "
+                                f"> {EIG_COND_LIMIT:g}")
     d = np.einsum("ij,ij->j", Y.conj(), Er @ X)
     if np.any(np.abs(d) < 1e-14 * np.abs(lam).max(initial=1.0)):
         raise DefectiveSpectrum("left/right eigenvectors nearly E-orthogonal (defective pencil)")

@@ -83,26 +83,13 @@ def _to_sparse(M, name, square_of=None):
             raise DimensionMismatch(f"{name} must be real")
         if arr.ndim != 2:
             raise DimensionMismatch(f"{name} must be a matrix, got ndim={arr.ndim}")
-        S = _dense_to_csc(arr.astype(float, copy=False))
+        S = sps.csc_matrix(arr.astype(float, copy=False))
     if S.shape[0] != S.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {S.shape}")
     if square_of is not None and S.shape[0] != square_of:
         raise DimensionMismatch(f"{name} is {S.shape}, expected {square_of}x{square_of}")
     S.sort_indices()
     return S
-
-
-def _dense_to_csc(arr):
-    """``sps.csc_matrix(arr)`` for a 2-D float array, read off its columns directly.
-
-    The nonzeros of ``arr.T`` in row-major order are those of ``arr`` column
-    by column with rows ascending: the canonical CSC arrays, exact zeros
-    (-0.0 included) left out.
-    """
-    cols = arr.T
-    stored = cols != 0
-    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(stored, axis=1))))
-    return sps.csc_matrix((cols[stored], np.nonzero(stored)[1], indptr), shape=arr.shape)
 
 
 def _to_dense(M, name, rows=None, as_row=False):

@@ -14,6 +14,7 @@ from h2mor import (
     hermite_reduce,
     init_model_function,
     make_model,
+    pole_residue,
     update_model_function,
     verify_h2_optimality,
     verify_realization_equivalence,
@@ -230,6 +231,26 @@ class TestCirka:
         assert res.counters.surrogate_lu == 0
         assert sum(res.new_columns_per_step) >= res.model_function.history.r
 
+    @pytest.mark.parametrize("check, name, field", [
+        ("verify_h2_optimality", "optimality check", "optimality_report"),
+        ("estimate_error", "error estimate", "error_estimate"),
+    ])
+    def test_refused_check_keeps_the_rom(self, monkeypatch, caplog, check, name, field):
+        # a check that refuses the finished ROM costs its field, not the reduction
+        def refuse(*args):
+            raise DefectiveSpectrum("eigenvectors refused")
+
+        monkeypatch.setattr(sys.modules["h2mor.cirka"], check, refuse)
+        model = random_stable_model(50, 1, 1, 501)
+        with caplog.at_level("WARNING", logger="h2mor"):
+            res = cirka(model, InterpolationData.zero_init(4, 1, 1), tight_opts())
+        assert res.converged and res.rom.n == 4
+        assert getattr(res, field) is None
+        assert (res.error_estimate is None) == (res.estimate_used_stable_part is None)
+        assert (res.optimality_report is None) + (res.error_estimate is None) == 1
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            f"{name} skipped: DefectiveSpectrum: eigenvectors refused"]
+
     def test_model_function_below_r_raises(self):
         # B excites 6 modes: the zero-init Krylov chain has rank 6 < r = 8
         B = np.zeros((40, 1))
@@ -390,9 +411,9 @@ class TestSurrogateSolver:
         assert info.value.sigma == lam[0]
 
     @pytest.mark.parametrize("n, q, r, opts", [
-        # order-2 surrogate: generalized_eig accepts it, at condition number 1e8
+        # order-2 surrogate: eigenvalues -1 +- 1.8e-8j, cond(X) = 5e7
         (8, 2, 1, CirkaOptions()),
-        # order-5 surrogate: generalized_eig rejects the eigenvector matrix
+        # order-5 surrogate: cond(X) = 7e12
         (16, 5, 3, CirkaOptions(init_strategy="I1", initial_nM=5)),
     ], ids=["jordan-2", "jordan-5"])
     def test_defective_surrogate_factorizes_per_shift(self, n, q, r, opts):
@@ -410,6 +431,8 @@ class TestSurrogateSolver:
         assert surrogate.n == q
         with pytest.raises(DefectiveSpectrum):
             ModalSolver(surrogate)
+        with pytest.raises(DefectiveSpectrum):
+            pole_residue(surrogate)
         res = cirka(model, init, opts)
         assert res.converged and not res.fallback_direct
         assert res.rom.n == r

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from h2mor import (
     verify_tangential_interpolation,
 )
 from h2mor.cli import main
+from h2mor.errors import DefectiveSpectrum
 from h2mor.mmio import load_rom_dir, save_rom_dir, write_matrix_market
 
 from .helpers import random_conjugate_data, random_stable_model
@@ -219,6 +221,23 @@ class TestReduce:
                      "--tol", "1e-6", "--max-iter", "100"])
         assert code == 0
         assert "k_IRKA" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algo", ["irka", "cirka"])
+    def test_refused_check_still_reports(self, cirka_tree, monkeypatch, capsys, caplog,
+                                         algo):
+        # the ROM is reported without an optimality residual, and the refusal
+        # is one warning on either algorithm
+        def refuse(*args):
+            raise DefectiveSpectrum("eigenvectors refused")
+
+        for module in ("h2mor.cli", "h2mor.cirka"):
+            monkeypatch.setattr(sys.modules[module], "verify_h2_optimality", refuse)
+        with caplog.at_level("WARNING", logger="h2mor"):
+            assert main(["reduce", "--model", "toy60", "--r", "4", "--algo", algo]) == 0
+        out = capsys.readouterr().out
+        assert "optimal shifts" in out and "optimality residual" not in out
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            "optimality check skipped: DefectiveSpectrum: eigenvectors refused"]
 
     def test_invalid_r(self, capsys):
         assert main(["reduce", "--model", "toy24", "--r", "0"]) == 1

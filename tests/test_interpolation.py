@@ -13,7 +13,7 @@ from h2mor import (
     sylvester_residual,
     verify_tangential_interpolation,
 )
-from h2mor.errors import NotConjugateClosed
+from h2mor.errors import NotConjugateClosed, SingularShift
 from h2mor.irka import update_interpolation_data
 
 from .helpers import random_conjugate_data, random_stable_model, transfer_derivatives_circle
@@ -158,6 +158,24 @@ class TestHermiteReduce:
         rom, used = hermite_reduce(model_sing, data)
         assert rom.n == 2
         assert abs(used.blocks[0].sigma - 1e-8) < 1e-16
+
+    def test_singular_shift_after_retry_raises(self, monkeypatch):
+        # a solver that stays singular after the one perturbation gives up,
+        # naming the perturbed shift
+        class AlwaysSingular:
+            def chain(self, sigma, *args, **kwargs):
+                raise SingularShift("singular at every shift", sigma=sigma)
+
+        calls = []
+        perturbed = InterpolationData.perturbed
+        monkeypatch.setattr(InterpolationData, "perturbed",
+                            lambda data, sigma: calls.append(sigma) or perturbed(data, sigma))
+        model = random_stable_model(6, 1, 1, 105)
+        data = InterpolationData.simple([1.0, 2.0], [[1.0], [1.0]], [[1.0], [1.0]])
+        with pytest.raises(SingularShift) as info:
+            hermite_reduce(model, data, AlwaysSingular())
+        assert calls == [1.0]
+        assert info.value.sigma == (1.0 + 1e-8) * 1.0 + 1e-8
 
     @pytest.mark.parametrize("n,m,p,r,seed", [
         (20, 1, 1, 2, 100), (20, 2, 3, 4, 101), (50, 3, 1, 4, 102),

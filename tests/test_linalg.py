@@ -612,7 +612,9 @@ class TestPencilEigenvalues:
         assert np.allclose(np.sort_complex(lam), ref)
 
     def test_defective_spectrum_guard(self):
-        # Jordan block: eigenvector matrix is numerically singular
-        A = np.array([[-1.0, 1.0], [0.0, -1.0]])
-        with pytest.raises(DefectiveSpectrum):
-            generalized_eig(A, np.eye(2))
+        # a Jordan block, whose eigenvector matrix is numerically singular, and a
+        # near one with simple eigenvalues, cond(X) = 2e6 > EIG_COND_LIMIT
+        for delta in (0.0, 1e-6):
+            A = np.array([[-1.0, 1.0], [0.0, -1.0 - delta]])
+            with pytest.raises(DefectiveSpectrum):
+                generalized_eig(A, np.eye(2))
