@@ -388,8 +388,9 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
     to direct IRKA on the full model, flags it, reports that run's
     ``converged`` and adds its time to the counters.  Inner steps that
     perturbed a shift off the spectrum are summarized in one warning per
-    run.  A built-in check of the returned reduced model that is refused
-    (see :func:`unless_refused`) leaves ``error_estimate`` or
+    run, and inner runs that stopped on a cycle in one INFO line.  A
+    built-in check of the returned reduced model that is refused (see
+    :func:`unless_refused`) leaves ``error_estimate`` or
     ``optimality_report`` None.
     """
     opts = opts or CirkaOptions()
@@ -443,6 +444,9 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
     if retries:
         log.warning("%d of %d inner IRKA steps perturbed a shift that hit the spectrum",
                     retries, counters.irka_steps_total)
+    cycled = sum(ir.stop_reason == "cycle" for ir in inner_results)
+    if cycled:
+        log.info("%d of %d inner IRKA runs stopped on a cycle", cycled, len(inner_results))
     if fallback:
         direct = irka(model, data, opts.inner, solver)
         counters.add_time("optimization", direct.counters.total_time)
@@ -459,8 +463,8 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
                                f"below r = {r}")
         if converged and not last.converged:
             converged = False
-            log.warning("CIRKA's data settled, but its last inner IRKA run %s", "ended unstable"
-                        if last.iterations in last.reflected_iterations else "hit max_iter")
+            log.warning("CIRKA's data settled, but its last inner IRKA run did not "
+                        "converge (stop reason: %s)", last.stop_reason)
 
     counters.full_lu = solver.lu_count
     counters.full_lu_norecycle = solver.lu_count_norecycle

@@ -178,25 +178,29 @@ def cmd_reduce(args) -> int:
             if data0.r != args.r:
                 raise ValueError(f"{args.init_file} holds r = {data0.r} columns, "
                                  f"not --r {args.r}")
-        else:
-            data0 = bench.initial_data(model, args.r, args.init)
+    if args.init != "file":
+        # the spectrum init eigendecomposes the model: its refusal is a solver failure
+        data0 = bench.initial_data(model, args.r, args.init)
 
     if args.algo == "irka":
         res = irka(model, data0, inner)
         estimate = None
         k_line = f"k_IRKA = {res.iterations}"
         report = unless_refused("optimality check", verify_h2_optimality, model, res.rom)
+        stop_reason = res.stop_reason
     else:
         res = cirka(model, data0, opts)
         estimate = res.error_estimate
         report = res.optimality_report
         k_line = (f"k_CIRKA = {res.outer_iterations}, "
                   f"sum k_IRKA = {res.counters.irka_steps_total}")
+        stop_reason = res.inner_results[-1].stop_reason     # the last IRKA run's
     rom, data, counters, converged = res.rom, res.optimal_data, res.counters, res.converged
 
     print(f"model {name}: n = {model.n}, m = {model.m}, p = {model.p}")
     print(f"algorithm {args.algo}, r = {args.r}, init = {args.init}: "
           f"converged = {str(converged).lower()}")
+    print(f"stop reason = {stop_reason}")
     print(k_line)
     print(f"n_LU (full order) = {counters.full_lu}"
           + (f", n_LU (surrogate) = {counters.surrogate_lu}" if args.algo == "cirka" else ""))
@@ -214,7 +218,7 @@ def cmd_reduce(args) -> int:
         out = Path(args.out)
         summary = {
             "model": name, "algorithm": args.algo, "r": args.r, "init": args.init,
-            "converged": converged, "n_lu_full": counters.full_lu,
+            "converged": converged, "stop_reason": stop_reason, "n_lu_full": counters.full_lu,
             "n_lu_surrogate": counters.surrogate_lu if args.algo == "cirka" else None,
             "rel_h2_error": rel, "rel_h2_estimate": estimate,
             "optimality_residual": None if report is None else report.max_residual,

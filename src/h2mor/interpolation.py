@@ -192,6 +192,13 @@ class InterpolationData:
     def left_tangents(self) -> np.ndarray:
         return self._tangent_rows([b.left for b in self.blocks])
 
+    @cached_property
+    def sorted_columns(self) -> tuple:
+        """Shifts, right and left tangent rows, with columns sorted on the shift's (Re, Im)."""
+        order = np.lexsort((self.shifts.imag, self.shifts.real))
+        return tuple(_read_only(a[order]) for a in
+                     (self.shifts, self.right_tangents, self.left_tangents))
+
     def _tangent_rows(self, tangents) -> np.ndarray:
         rows = np.zeros((self.r, tangents[0].size), dtype=complex)
         for off, t in zip(self.column_offsets, tangents):

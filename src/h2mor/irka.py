@@ -26,6 +26,11 @@ from .model import StateSpaceModel, make_model, pole_residue, pole_residue_array
 
 log = logging.getLogger(__name__)
 
+#: The cycle check of :func:`_cycle_period`: the periods it looks for, and
+#: its tolerance relative to the distance the last step moved.
+CYCLE_PERIODS = range(2, 9)
+CYCLE_TOL = 1e-6
+
 
 @dataclass
 class IrkaOptions:
@@ -43,14 +48,27 @@ class IrkaOptions:
 
 @dataclass
 class IrkaResult:
+    """One IRKA run.
+
+    ``stop_reason`` says why it ended: ``"settled"`` (converged),
+    ``"unstable"`` (settled on a step that reflected a pole), ``"cycle"``
+    (its iterates repeat) or ``"max_iter"``.  ``shift_history`` holds the
+    data of every step taken, so after a cycle ``optimal_data`` is one of
+    its last entries, not necessarily the very last.
+    """
+
     rom: StateSpaceModel
     optimal_data: InterpolationData
     iterations: int
-    converged: bool
+    stop_reason: str
     shift_history: list
     counters: CostCounters
     reflected_iterations: list = field(default_factory=list)
     shift_retries: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "settled"
 
 
 def shift_convergence(prev: InterpolationData, new: InterpolationData) -> float:
@@ -71,15 +89,37 @@ def _settled(prev: InterpolationData, new: InterpolationData, tol: float) -> boo
     return all(d <= tol for d in _distances(prev, new))
 
 
+def _cycle_period(history: list):
+    """The period of the cycle the last iterate of ``history`` closes, or None.
+
+    With s the distance the last step moved, the run has entered a cycle of
+    period p when the iterate p steps back passes the stop test against the
+    last one at ``CYCLE_TOL * s``; the smallest such p in ``CYCLE_PERIODS``
+    is returned.
+    """
+    new = history[-1]
+    past = history[-1 - CYCLE_PERIODS[-1]:-1][::-1]     # past[p - 1] is p steps back
+    # A screen on shifts alone, in one array operation.  A tangent distance
+    # is at most 1, so s <= max(shift distance of the last step, 1); the
+    # factor 2 covers the rounding of this other way of taking the norms.
+    sp = np.array([d.sorted_columns[0] for d in past])
+    num, den = (np.linalg.norm(a, axis=1) for a in (new.sorted_columns[0] - sp, sp))
+    dist = num / np.where(den > 0, den, 1.0)
+    if not np.any(dist[1:] <= 2 * CYCLE_TOL * max(dist[0], 1.0)):
+        return None
+    tol = CYCLE_TOL * shift_convergence(past[0], new)
+    return next((p for p in CYCLE_PERIODS
+                 if p <= len(past) and _settled(past[p - 1], new, tol)), None)
+
+
 def _distances(prev: InterpolationData, new: InterpolationData):
     """Yield the shift distance, then the tangent distance."""
     if prev.r != new.r:
         raise CardinalityMismatch(f"data sets have {prev.r} and {new.r} columns")
-    ip, iq = (np.lexsort((d.shifts.imag, d.shifts.real)) for d in (prev, new))
-    sp = prev.shifts[ip]
-    yield relative(np.linalg.norm(new.shifts[iq] - sp), np.linalg.norm(sp))
-    yield max(np.max(angle_distance(prev.right_tangents[ip], new.right_tangents[iq])),
-              np.max(angle_distance(prev.left_tangents[ip], new.left_tangents[iq])))
+    sp, rp, lp = prev.sorted_columns
+    sn, rn, ln = new.sorted_columns
+    yield relative(np.linalg.norm(sn - sp), np.linalg.norm(sp))
+    yield max(np.max(angle_distance(rp, rn)), np.max(angle_distance(lp, ln)))
 
 
 def update_interpolation_data(rom: StateSpaceModel):
@@ -161,21 +201,27 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     """Iterate interpolation data to a (local) H2-optimal reduced model.
 
     Runs until :func:`shift_convergence` falls below ``opts.tol`` or
-    ``max_iter`` is reached.  Hitting the cap, or settling on a step that
-    reflected an unstable pole (the returned model keeps it; one warning),
-    is reported through ``converged=False``, not raised.
+    ``max_iter`` is reached.  A step that does not settle is checked for a
+    cycle (:func:`_cycle_period`): a run whose iterates repeat with period
+    p stops there and returns the step among its last p that ``max_iter``
+    would have ended on: the capped run's result, up to the recurrence
+    tolerance, without the remaining steps.  Hitting
+    the cap, settling on a step that reflected an unstable pole (the
+    returned model keeps it) or a cycle is reported through
+    ``converged=False`` and ``stop_reason``, not raised; a direct run logs
+    one warning for the last two.
     ``solver`` is a :class:`ShiftedSolver` (made when None) or a
     :class:`~h2mor.linalg.ModalSolver` of ``model``; the run's ``full_lu``
     counts its factorizations.  Each step keeps the reduced matrices as
     dense arrays, and only the returned reduced model is built.
     ``optimal_data`` holds the mirrored poles and residue tangents of the
-    returned reduced model, re-inflated to ``init.r`` columns when the last
-    step lost rank.  A final reduced model of order below ``init.r`` raises
+    returned reduced model, re-inflated to ``init.r`` columns when its step
+    lost rank.  A returned reduced model of order below ``init.r`` raises
     :class:`RankCollapse`.  Steps that had to perturb a shift off the
     spectrum are counted in ``shift_retries`` and summarized in one
     warning.  ``inner_run`` marks one of CIRKA's inner runs: its next outer
     step starts from the re-inflated data, so a low order does not raise,
-    and CIRKA reports its runs' retries and convergence itself.
+    and CIRKA reports its runs' retries, cycles and convergence itself.
     """
     opts = opts or IrkaOptions()
     if solver is None:
@@ -188,8 +234,10 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     t0 = perf_counter()
     data = init
     history = [data]
+    step_arrays = [None]        # the reduced matrices of each step
     reflected_iters: list[int] = []
     retries = 0
+    reason = "max_iter"
     for k in range(1, opts.max_iter + 1):
         if k > 1:
             solver.drop_factorizations()    # shifts changed; keep memory bounded
@@ -205,16 +253,31 @@ def irka(model: StateSpaceModel, init: InterpolationData,
             new_data = _pad_to_order(new_data, init.r)
         data = new_data
         history.append(data)
+        step_arrays.append(arrays)
         log.debug("irka iteration %d: settled %s", k, settled)
         if settled:
+            reason = "unstable" if reflected else "settled"
             break
-    if settled and reflected and not inner_run:
+        period = _cycle_period(history) if k < opts.max_iter else None
+        if period:
+            reason = "cycle"
+            break
+    returned = k
+    if reason == "cycle":
+        # the step max_iter would end on: the one of the last p congruent to it
+        returned = k - (k - opts.max_iter) % period
+        data = history[returned]
+        if not inner_run:
+            log.warning("IRKA entered a cycle of period %d at step %d; returning step %d, "
+                        "where max_iter = %d would end: not converged",
+                        period, k, returned, opts.max_iter)
+    if reason == "unstable" and not inner_run:
         log.warning("IRKA settled at step %d on a reflected pole: the reduced model "
                     "is unstable, not converged", k)
     if retries and not inner_run:
         log.warning("%d of %d IRKA steps perturbed a shift that hit the spectrum",
                     retries, k)
-    rom = make_model(*arrays, model.D)
+    rom = make_model(*step_arrays[returned], model.D)
     if not inner_run and rom.n < init.r:
         raise RankCollapse(f"reduced model has order {rom.n} after rank trimming, "
                            f"below r = {init.r}")
@@ -224,8 +287,7 @@ def irka(model: StateSpaceModel, init: InterpolationData,
         irka_steps_total=k,
     )
     counters.add_time("optimization", perf_counter() - t0)
-    return IrkaResult(rom=rom, optimal_data=data, iterations=k,
-                      converged=settled and not reflected,
+    return IrkaResult(rom=rom, optimal_data=data, iterations=k, stop_reason=reason,
                       shift_history=history, counters=counters,
                       reflected_iterations=reflected_iters, shift_retries=retries)
 

@@ -280,14 +280,20 @@ class TestCirka:
         # tolerance, whether or not the run converged
         model = random_stable_model(50, 2, 1, 503)
         init = InterpolationData.zero_init(4, 2, 1)
-        res = cirka(model, init, tight_opts())
-        # the outer data settle, but every inner run hits max_iter, so the
-        # run is not converged, and one warning says why
+        with caplog.at_level("INFO", logger="h2mor"):
+            res = cirka(model, init, tight_opts())
+        # the outer data settle, but no inner run converges: the first hits
+        # max_iter and the others stop on a cycle, so the run is not
+        # converged, and one warning says why
         assert res.outer_iterations < tight_opts().outer_max_iter
+        assert [ir.stop_reason for ir in res.inner_results] == ["max_iter"] + ["cycle"] * 4
+        assert res.inner_iterations == [250, 11, 7, 2, 2]
         assert not res.inner_results[-1].converged
         assert not res.converged
-        assert sum("last inner IRKA run hit max_iter" in r.getMessage()
-                   for r in caplog.records) == 1
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum("last inner IRKA run did not converge (stop reason: cycle)" in m
+                   for m in messages) == 1
+        assert messages.count("4 of 5 inner IRKA runs stopped on a cycle") == 1
         from h2mor.cirka import _find_match
 
         for b in res.optimal_data.blocks:

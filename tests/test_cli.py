@@ -160,6 +160,19 @@ class TestExitCodes:
                      "--points", "2"]) == 2
         assert_one_line(capsys, "solver failure: ")
 
+    @pytest.mark.parametrize("algo", ["irka", "cirka"])
+    def test_refused_spectrum_init_is_solver_failure(self, tmp_path, monkeypatch, capsys,
+                                                     algo):
+        # a near-Jordan block: the model's eigenvectors are refused, which is
+        # the solver's failure, not the load's
+        A = np.diag(-np.arange(1.0, 9.0))
+        A[:2, :2] = [[-1.0, 1.0], [0.0, -1.0 - 1e-6]]
+        register_model(tmp_path, monkeypatch, "jordan8",
+                       make_model(None, A, np.ones((8, 1)), np.ones((1, 8))))
+        assert main(["reduce", "--model", "jordan8", "--r", "2", "--algo", algo,
+                     "--init", "eigs"]) == 2
+        assert "condition number" in assert_one_line(capsys, "solver failure: ")
+
     @pytest.mark.parametrize("command", WRITING_COMMANDS)
     def test_unwritable_out_is_load_error(self, model_tree, tmp_path, capsys, command):
         (tmp_path / "afile").write_text("")
@@ -215,6 +228,21 @@ class TestReduce:
             assert main(["reduce", "--model", "toy60", "--r", "4", "--algo", algo,
                          "--out", str(out)]) == 0
             assert json.loads((out / "result.json").read_text())["n_lu_surrogate"] == expected
+
+    @pytest.mark.parametrize("seed, algo, reason", [
+        (511, "irka", "cycle"),
+        (511, "cirka", "cycle"),        # the reason of the direct IRKA run it falls back to
+        (507, "cirka", "settled"),
+    ])
+    def test_stop_reason_printed_and_written(self, tmp_path, monkeypatch, capsys,
+                                             seed, algo, reason):
+        m, p = (2, 2) if seed == 511 else (1, 1)
+        register_model(tmp_path, monkeypatch, "rs", random_stable_model(50, m, p, seed))
+        out = tmp_path / "romdir"
+        assert main(["reduce", "--model", "rs", "--r", "4", "--algo", algo,
+                     "--out", str(out)]) == 0
+        assert f"stop reason = {reason}\n" in capsys.readouterr().out
+        assert json.loads((out / "result.json").read_text())["stop_reason"] == reason
 
     def test_irka_reduce(self, model_tree, capsys):
         code = main(["reduce", "--model", "toy24", "--r", "4", "--algo", "irka",

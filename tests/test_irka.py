@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -18,7 +19,7 @@ from h2mor import (
 )
 from h2mor.errors import CardinalityMismatch, DimensionMismatch, RankCollapse
 from h2mor.interpolation import InterpolationBlock
-from h2mor.irka import _mirrored_data, _pad_to_order
+from h2mor.irka import _cycle_period, _mirrored_data, _pad_to_order
 from h2mor.linalg import conjugate_pairs
 
 from .helpers import random_conjugate_data, random_stable_model
@@ -161,6 +162,7 @@ class TestIrka:
         assert verify_h2_optimality(model, res.rom).passed(max(1e-6, 10 * opts.tol))
         # the rom interpolates the model at its own optimal data
         assert verify_tangential_interpolation(model, res.rom, res.optimal_data).passed(1e-6)
+        assert res.stop_reason == "settled"
         # cost accounting
         r = init.r
         assert res.counters.full_lu <= 1 + res.iterations * r
@@ -180,6 +182,7 @@ class TestIrka:
         res = irka(model, init, IrkaOptions(tol=1e-16, max_iter=3))
         assert not res.converged
         assert res.iterations == 3
+        assert res.stop_reason == "max_iter"
 
     @pytest.mark.parametrize("n, m, p, seed", [(30, 2, 3, 44), (12, 2, 3, 10)])
     def test_mimo_stop_test_reads_tangents(self, n, m, p, seed):
@@ -198,7 +201,7 @@ class TestIrka:
         assert reflected
         res = irka(rom, init, IrkaOptions(tol=1e-8))
         assert res.iterations == 1 and res.reflected_iterations == [1]
-        assert not res.converged
+        assert not res.converged and res.stop_reason == "unstable"
         assert np.max(pole_residue(res.rom).poles.real) > 0
         assert sum("unstable, not converged" in r.getMessage() for r in caplog.records) == 1
 
@@ -216,6 +219,66 @@ class TestIrka:
                 IrkaOptions(tol=tol)
         with pytest.raises(ValueError):
             IrkaOptions(max_iter=0)
+
+
+def _without_cycle_check(monkeypatch):
+    """Run IRKA as if it had no cycle check: every run goes on to ``max_iter``."""
+    monkeypatch.setattr(sys.modules["h2mor.irka"], "_cycle_period", lambda history: None)
+
+
+class TestCycleStop:
+    """A run whose iterates repeat stops early and returns what ``max_iter`` would."""
+
+    def test_period_and_tolerance(self):
+        a, b, c = (random_conjugate_data(4, 2, 2, seed) for seed in (710, 711, 712))
+        near_b = InterpolationData.simple(b.shifts * (1 + 1e-8), b.right_tangents,
+                                          b.left_tangents)
+        assert _cycle_period([a, b, c]) is None
+        assert _cycle_period([a, b, a]) == 2
+        assert _cycle_period([c, b, a, near_b]) == 2
+        assert _cycle_period([b, a, c, b]) == 3
+        # equal shifts are not enough: the tangents must recur too
+        turned_b = InterpolationData.simple(b.shifts, c.right_tangents, b.left_tangents)
+        assert _cycle_period([a, b, c, turned_b]) is None
+        # the recurrence must be within 1e-6 of the last step's distance
+        far_b = InterpolationData.simple(b.shifts * (1 + 1e-5), b.right_tangents,
+                                         b.left_tangents)
+        assert _cycle_period([a, b, c, far_b]) is None
+
+    @pytest.mark.parametrize("max_iter, returned", [(48, 40), (49, 41), (50, 38), (51, 39)])
+    def test_returns_the_step_max_iter_reaches(self, monkeypatch, caplog, max_iter, returned):
+        # zero init on model 511 enters a cycle of period 4, seen at step 41
+        model = random_stable_model(50, 2, 2, 511)
+        init = InterpolationData.zero_init(4, 2, 2)
+        opts = IrkaOptions(max_iter=max_iter)
+        res = irka(model, init, opts)
+        assert res.iterations == 41 and res.stop_reason == "cycle" and not res.converged
+        assert len(res.shift_history) == 42
+        assert res.optimal_data is res.shift_history[returned]
+        assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+            f"IRKA entered a cycle of period 4 at step 41; returning step {returned}, "
+            f"where max_iter = {max_iter} would end: not converged"]
+        _without_cycle_check(monkeypatch)
+        ref = irka(model, init, opts)
+        assert ref.iterations == max_iter and ref.stop_reason == "max_iter"
+        if max_iter == 50:
+            assert (res.counters.full_lu, ref.counters.full_lu) == (141, 172)
+        for got, want in ((res.optimal_data.shifts, ref.optimal_data.shifts),
+                          (pole_residue(res.rom).poles, pole_residue(ref.rom).poles)):
+            got, want = (z[np.lexsort((z.real, z.imag))] for z in (got, want))
+            assert np.allclose(got, want, rtol=1e-6, atol=0)
+
+    def test_converging_run_keeps_its_steps(self, monkeypatch):
+        model = random_stable_model(50, 1, 1, 507)
+        init = InterpolationData.zero_init(4, 1, 1)
+        opts = IrkaOptions(tol=1e-9, max_iter=250)
+        res = irka(model, init, opts)
+        _without_cycle_check(monkeypatch)
+        ref = irka(model, init, opts)
+        assert res.stop_reason == ref.stop_reason == "settled"
+        assert res.iterations == ref.iterations
+        assert res.counters.full_lu == ref.counters.full_lu
+        assert np.array_equal(res.optimal_data.shifts, ref.optimal_data.shifts)
 
 
 class TestPadToOrder:
