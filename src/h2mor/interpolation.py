@@ -289,22 +289,15 @@ class InterpolationData:
             raise ParseError(f"malformed interpolation data: {exc!r}") from exc
 
     def perturbed(self, sigma: complex) -> "InterpolationData":
-        """Perturb every block at the given shift by (1 + 1e-8)*sigma + 1e-8.
+        """Move every block at ``sigma`` or its conjugate to (1 + 1e-8)*s + 1e-8.
 
-        Conjugate partners are perturbed symmetrically so closure is kept.
+        The map is real and affine, so conjugate shifts stay conjugate, bit for bit.
         """
-        def bump(s):
-            return (1.0 + 1e-8) * s + 1e-8
-
-        new = []
-        for b in self.blocks:
-            if abs(b.sigma - sigma) <= 1e-14 * (1.0 + abs(sigma)):
-                new.append(replace(b, sigma=bump(b.sigma)))
-            elif abs(b.sigma - np.conj(sigma)) <= 1e-14 * (1.0 + abs(sigma)):
-                new.append(replace(b, sigma=np.conj(bump(np.conj(b.sigma)))))
-            else:
-                new.append(b)
-        return InterpolationData(tuple(new))
+        tol = 1e-14 * (1.0 + abs(sigma))
+        return InterpolationData(tuple(
+            replace(b, sigma=(1.0 + 1e-8) * b.sigma + 1e-8)
+            if min(abs(b.sigma - sigma), abs(b.sigma - np.conj(sigma))) <= tol else b
+            for b in self.blocks))
 
 
 def primitive_basis(model: StateSpaceModel, data: InterpolationData, side: str,

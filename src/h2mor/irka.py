@@ -128,7 +128,7 @@ def update_interpolation_data(rom: StateSpaceModel):
     Returns ``(data, reflected)``: shifts are the mirrored poles
     -conj(lambda_i) with tangents from the residue directions; any shift
     landing in the closed left half-plane has its real part reflected to
-    positive, with ``reflected=True`` flagging the event.  There is one
+    |Re|, with ``reflected=True`` flagging the event.  There is one
     column per pole and repeated poles are not merged, so a rom whose bases
     lost rank gives fewer columns than the data it came from (:func:`irka`
     re-inflates them).  The output is exactly conjugate-closed.
@@ -142,7 +142,7 @@ def _mirrored_data(prf, groups=None):
     ``groups`` are conjugate groups of ``prf.poles`` in the format of
     :func:`~h2mor.linalg.conjugate_pairs`; by default all of them, ordered
     by (Re, |Im|).  A shift landing in the closed left half-plane has its
-    real part reflected to positive (``reflected`` reports it).  A complex
+    real part reflected to |Re| (``reflected`` reports it).  A complex
     pair is built from its Im > 0 member and its conjugate, so closure is
     exact, and the data carries the grouping it was built with.  Returns
     ``(data, reflected)``.
@@ -155,7 +155,7 @@ def _mirrored_data(prf, groups=None):
     for group in groups:
         k = group[0] if lam[group[0]].imag > 0 else group[-1]
         s = -lam[k].conjugate()
-        if s.real < 0.0:
+        if s.real <= 0.0:
             reflected = True
             s = complex(abs(s.real), s.imag)
         pairing.append(tuple(range(len(blocks), len(blocks) + len(group))))

@@ -300,30 +300,31 @@ def relative(num: float, den: float) -> float:
 
 
 def conjugate_pairs(lam: np.ndarray, order) -> list:
-    """Group a real pencil's eigenvalues into conjugate-closed sets.
+    """Group a real pencil's eigenvalues into conjugate pairs and real values.
 
-    Visits ``lam`` in ``order``: a real value (|Im| <= 1e-10 (1 + |lambda|))
-    becomes ``(i,)``; a complex one ``(i, j)`` with ``j`` its nearest
-    unvisited conjugate, which must lie within 1e-8 (1 + |lambda|).  Groups
-    come out in visiting order; raises :class:`DefectiveSpectrum` when a
-    complex value has no partner.
+    ?ggev's layout (:func:`_pair_starts`) says which entries pair up, so
+    ``lam`` must come in the order of :func:`generalized_eig` and
+    :func:`~h2mor.model.pole_residue`.  Visits ``lam`` in ``order``: a real
+    value becomes ``(i,)``, a pair ``(i, j)`` with ``j`` the neighbour of
+    ``i``; groups come out in visiting order.  Raises
+    :class:`DefectiveSpectrum` unless each pair holds Im > 0 and then Im < 0
+    and every other entry Im == 0.
     """
+    imag = lam.imag.tolist()
+    partner = list(range(len(imag) + 1))
+    for i in _pair_starts(imag):
+        partner[i], partner[i + 1] = i + 1, i
+    imag.append(0.0)            # a pair starting at the last entry fails the check
     groups = []
-    used = np.zeros(len(lam), dtype=bool)
-    for i in order:
-        if used[i]:
+    for i in np.asarray(order).tolist():
+        j = partner[i]
+        if j is None:           # grouped with an earlier visit
             continue
-        used[i] = True
-        li = lam[i]
-        if abs(li.imag) <= 1e-10 * (1.0 + abs(li)):
-            groups.append((i,))
-            continue
-        cand = [j for j in range(len(lam)) if not used[j]]
-        j = min(cand, key=lambda j: abs(lam[j] - li.conjugate()), default=None)
-        if j is None or abs(lam[j] - li.conjugate()) > 1e-8 * (1.0 + abs(li)):
-            raise DefectiveSpectrum(f"no conjugate partner for eigenvalue {li}")
-        used[j] = True
-        groups.append((i, j))
+        lo, hi = (i, j) if i < j else (j, i)
+        if partner[j] != i or not (imag[lo] > 0.0 > imag[hi] if lo < hi else imag[i] == 0.0):
+            raise DefectiveSpectrum(f"eigenvalue {lam[i]} is not in ?ggev's pair layout")
+        partner[i] = partner[j] = None
+        groups.append((i,) if i == j else (i, j))
     return groups
 
 
@@ -406,16 +407,20 @@ def _ggev(A: np.ndarray, E: np.ndarray):
     return lam, vl, vr
 
 
-def _complex_eigvecs(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Complex eigenvectors from real ?ggev output: a pair's columns hold (Re, Im).
+def _pair_starts(imag: list) -> list:
+    """Where ?ggev's conjugate pairs start, given the eigenvalues' imaginary parts.
 
-    ?ggev stores a conjugate pair in consecutive columns, the Im > 0 member
-    first, so the first columns of distinct pairs never neighbour each other.
+    ?ggev stores a pair in adjacent entries, the Im > 0 member first.  As in
+    scipy's ``_make_complex_eigvecs``, an entry followed by one with Im < 0
+    starts a pair too (scipy's workaround for a LAPACK bug, its ticket #709).
     """
+    return [i for i, (a, b) in enumerate(zip(imag, imag[1:] + [0.0])) if a > 0.0 or b < 0.0]
+
+
+def _complex_eigvecs(lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Complex eigenvectors from real ?ggev output: a pair's columns hold (Re, Im)."""
     out = np.array(v, dtype=complex)
-    first = lam.imag > 0
-    first[:-1] |= lam.imag[1:] < 0
-    first = np.flatnonzero(first)
+    first = np.array(_pair_starts(lam.imag.tolist()), dtype=int)
     out.imag[:, first] = v[:, first + 1]
     out[:, first + 1] = out[:, first].conj()
     return out

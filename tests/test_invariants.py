@@ -162,14 +162,25 @@ def _change(key: str, old: dict, new: dict) -> str | None:
                     for r in old for name in ("shifts", "right", "left"))
         return f"{key}: max deviation {worst:.2e}" if worst > 0 else None
     flags = COUNTERS + ("converged",)
-    worst = (max(map(_deviation, new["shifts"], old["shifts"]), default=0.0)
-             if len(new["shifts"]) == len(old["shifts"]) else np.inf)
-    if worst == 0 and all(new[f] == old[f] for f in flags):
+    final = _deviation(new["shifts"][-1], old["shifts"][-1])
+    shared = max(map(_deviation, new["shifts"], old["shifts"]))    # over the shorter history
+    if (shared == 0 and len(new["shifts"]) == len(old["shifts"])
+            and all(new[f] == old[f] for f in flags)):
         return None
 
     def summary(case):
         return ", ".join(f"{f} {case[f]}" for f in flags) + f", {len(case['shifts'])} iterates"
-    return f"{key}: {summary(old)} -> {summary(new)}; max shift deviation {worst:.2e}"
+    return (f"{key}: {summary(old)} -> {summary(new)}; final shift deviation {final:.2e}, "
+            f"max over shared iterates {shared:.2e}")
+
+
+def test_change_report_when_history_shortens():
+    counts = dict.fromkeys(COUNTERS, 1)
+    old = {**counts, "converged": False, "shifts": [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]}
+    new = {**counts, "converged": False, "shifts": [[1.0, 0.3], [2.0, 0.0]]}
+    line = _change("irka/zero/0", old, new)
+    assert line.endswith("final shift deviation 2.50e-01, max over shared iterates 3.00e-01")
+    assert _change("irka/zero/0", old, old) is None
 
 
 def write_fixture() -> None:

@@ -46,6 +46,13 @@ class TestUpdateInterpolationData:
         assert reflected
         assert np.all(data.shifts.real > 0)
 
+    def test_pole_on_imaginary_axis_reflected(self):
+        # Re(lambda) = 0 is unstable too: the mirrored shift lies in the closed left half-plane
+        rom = make_model(None, np.diag([0.0, -1.0]), np.ones((2, 1)), np.ones((1, 2)))
+        data, reflected = update_interpolation_data(rom)
+        assert reflected
+        assert sorted(data.shifts.real) == [0.0, 1.0]
+
     def test_cross_check_with_pole_residue(self):
         rom = random_stable_model(6, 2, 2, 81, mass=False)
         prf = pole_residue(rom)

@@ -33,6 +33,7 @@ from h2mor.linalg import (
     QR_DROP_TOL,
     CostCounters,
     ModalSolver,
+    conjugate_pairs,
     pencil_eigenvalues,
     realify_columns,
 )
@@ -333,6 +334,31 @@ class TestGeneralizedEig:
         i, j = (0, 1) if lam[0].imag > 0 else (1, 0)
         assert np.isclose(lam[i], np.conj(lam[j]))
         assert np.allclose(X[:, i], np.conj(X[:, j]))
+        # conjugate_pairs reads the pairs off ?ggev's layout, visiting in any order
+        for n in range(2, 41):
+            rng = np.random.default_rng(n)
+            lam, X, _ = generalized_eig(rng.standard_normal((n, n)),
+                                        np.eye(n) + 0.2 * rng.standard_normal((n, n)))
+            order = rng.permutation(n)
+            groups = conjugate_pairs(lam, order)
+            assert sorted(k for g in groups for k in g) == list(range(n))
+            visited = np.argsort(order)
+            assert np.all(np.diff([visited[g[0]] for g in groups]) > 0)
+            for g in groups:
+                assert np.all(visited[list(g)] >= visited[g[0]])
+                if len(g) == 1:
+                    assert lam[g[0]].imag == 0.0
+                    continue
+                i, j = g
+                assert lam[min(g)].imag > 0.0 > lam[max(g)].imag
+                # ?ggev divides each member by its own beta, so the values are
+                # conjugate to rounding only; the eigenvectors exactly
+                assert abs(lam[j] - lam[i].conjugate()) <= 4 * np.finfo(float).eps * abs(lam[i])
+                assert np.array_equal(X[:, j], X[:, i].conj())
+        # reversed, a pair reads Im < 0 first, which no ?ggev output holds
+        assert lam.imag.any()
+        with pytest.raises(DefectiveSpectrum):
+            conjugate_pairs(lam[::-1], range(n))
 
     def test_singular_Er(self):
         with pytest.raises(SingularEr):
@@ -596,6 +622,18 @@ class TestStablePart:
                     ref += np.outer(c, b) / (s - lam)
             G = eval_transfer(part, s)
             assert np.linalg.norm(G - ref) < 1e-8 * np.linalg.norm(ref)
+
+    def test_nearly_real_pair_kept(self):
+        # a rotation by 1e-12 (cond(X) = 1) is a conjugate pair, not two real modes
+        rng = np.random.default_rng(63)
+        A = spla.block_diag([[-1.0, 1e-12], [-1e-12, -1.0]], [[1.0]])
+        B, C = rng.standard_normal((3, 2)), rng.standard_normal((2, 3))
+        model = make_model(None, A, B, C)
+        part = stable_part(model)
+        assert part.n == 2 and part.A.toarray()[0, 1] != 0.0
+        for s in (0.5, 2j, 1.0 - 1j):
+            ref = eval_transfer(model, s) - np.outer(C[:, 2], B[2]) / (s - 1.0)
+            assert np.linalg.norm(eval_transfer(part, s) - ref) < 1e-12 * np.linalg.norm(ref)
 
     def test_no_stable_modes(self):
         model = make_model(None, [[1.0]], [[1.0]], [[1.0]])
