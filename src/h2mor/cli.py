@@ -1,7 +1,7 @@
 """Command-line front end: reduce, benchmark, bode, verify, config.
 
-Exit codes: 0 success (a non-converged run is data, not failure), 1 load,
-validation or write error, 2 solver failure, 3 verification failure.
+Exit codes: 0 success (a non-converged run is data, not failure), 1 usage,
+load, validation or write error, 2 solver failure, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -70,11 +70,12 @@ def _setup_logging(verbosity: int) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="h2mor",
-                                     description="H2-optimal model order reduction (IRKA / CIRKA)")
+    parser = _Parser(prog="h2mor",
+                     description="H2-optimal model order reduction (IRKA / CIRKA)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reduce", help="reduce one model and report optimality data")
+    p.set_defaults(handler=cmd_reduce)
     p.add_argument("--model", required=True, help="manifest name or path")
     p.add_argument("--r", type=int, required=True, help="reduced order")
     p.add_argument("--algo", choices=["irka", "cirka"], default="cirka")
@@ -93,6 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("benchmark", help="run IRKA and CIRKA over a model/order grid")
+    p.set_defaults(handler=cmd_benchmark)
     p.add_argument("--models", required=True, help="comma-separated manifest names")
     p.add_argument("--r", required=True, help="comma-separated reduced orders")
     p.add_argument("--init", choices=["zero", "eigs"], default="zero")
@@ -105,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("bode", help="emit magnitude samples |G(jw)| as CSV")
+    p.set_defaults(handler=cmd_bode)
     p.add_argument("--model", required=True)
     p.add_argument("--roms", default=None, help="comma-separated rom directories to overlay")
     p.add_argument("--wmin", type=float, default=None)
@@ -114,6 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="check interpolation/optimality/equivalence residuals")
+    p.set_defaults(handler=cmd_verify)
     p.add_argument("--model", required=True)
     p.add_argument("--rom", required=True, help="rom directory written by reduce --out")
     p.add_argument("--data", default=None, help="interpolation data JSON (default: rom dir)")
@@ -123,12 +127,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("config", help="dump the effective default configuration")
+    p.set_defaults(handler=cmd_config)
     _add_common(p)
     return parser
 
 
 class _LoadError(Exception):
     """A load, validation or write error, reported by :func:`main` as exit 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation errors, exit 1; so in every subcommand's parser."""
+
+    def error(self, message):
+        raise _LoadError(message)
 
 
 @contextmanager
@@ -365,18 +377,10 @@ def cmd_config(_args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _setup_logging(getattr(args, "verbose", 0))
-    handler = {
-        "reduce": cmd_reduce,
-        "benchmark": cmd_benchmark,
-        "bode": cmd_bode,
-        "verify": cmd_verify,
-        "config": cmd_config,
-    }[args.command]
     try:
-        return handler(args)
+        args = build_parser().parse_args(argv)
+        _setup_logging(args.verbose)
+        return args.handler(args)
     except _LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LOAD

@@ -32,19 +32,19 @@ def _trace_norm(C: np.ndarray, P: np.ndarray) -> float:
 def h2_norm_quadrature(model: StateSpaceModel) -> float:
     """H2 norm from the frequency-integral definition (adaptive quadrature).
 
-    Integrates ||G(j w)||_F^2 / pi over [0, 1e6] on log-spaced panels, two
-    per decade (plus the [0, w_min] head), exploiting conjugate symmetry for
-    the negative axis.  Documented accuracy about 1e-4 relative; intended as an
-    independent cross-check of :func:`h2_norm` and for large sparse models
-    where the dense Gramian path is unavailable.
+    Integrates ||G(j w)||_F^2 / pi over [0, w_max] on log-spaced panels, two
+    per decade from w_lo to w_hi, exploiting conjugate symmetry for the
+    negative axis.  Up to ``DENSE_THRESHOLD`` the band follows the spectrum
+    and so the model's time scale (w_lo = min|lambda| / 100, w_hi =
+    100 max|lambda|, w_max = 1e4 w_hi); above, it is [1e-4, 1e6].  Documented
+    accuracy about 1e-4 relative; intended as an independent cross-check of
+    :func:`h2_norm` and for large sparse models where the dense Gramian path
+    is unavailable.
     """
-    omega_max, panels_per_decade = 1e6, 2
-    if model.n <= DENSE_THRESHOLD:
-        mags = np.abs(pencil_eigenvalues(model))
-        lo = min(max(mags.min() / 100.0, 1e-8), omega_max / 100.0)
-        hi = min(max(mags.max() * 100.0, 10.0 * lo), omega_max)
-    else:
-        lo, hi = 1e-4, omega_max
+    mags = np.abs(pencil_eigenvalues(model)) if model.n <= DENSE_THRESHOLD else np.empty(0)
+    mags = mags[mags > 0.0]         # a zero eigenvalue sets no time scale
+    lo, hi = (mags.min() / 100.0, mags.max() * 100.0) if mags.size else (1e-4, 1e6)
+    omega_max, panels_per_decade = (1e4 * hi if mags.size else hi), 2
     edges = [0.0] + list(np.logspace(np.log10(lo), np.log10(hi),
                                      int(panels_per_decade * np.log10(hi / lo)) + 1))
     if edges[-1] < omega_max:

@@ -34,8 +34,8 @@ def load_matrix_market(path) -> sps.csr_matrix:
 
     Symmetric storage is expanded, 1-based indices converted, duplicate
     entries summed.  Complex, pattern, hermitian and skew-symmetric files are
-    rejected with :class:`UnsupportedField`; malformed content raises
-    :class:`ParseError` naming the offending line.
+    rejected with :class:`UnsupportedField`; malformed content (data past
+    the declared count too) raises :class:`ParseError` naming the line.
     """
     path = Path(path)
     try:
@@ -84,6 +84,8 @@ def load_matrix_market(path) -> sps.csr_matrix:
         rows, cols, vals = [], [], []
         seen = 0
         for seen, (lineno, parts) in enumerate(data, start=1):
+            if seen > nnz:
+                raise ParseError(f"{path}: line {lineno}: more than the {nnz} declared entries")
             if len(parts) != 3:
                 raise ParseError(f"{path}: line {lineno}: expected 'i j value'")
             try:
@@ -100,8 +102,6 @@ def load_matrix_market(path) -> sps.csr_matrix:
                 rows.append(j - 1)
                 cols.append(i - 1)
                 vals.append(v)
-            if seen == nnz:
-                break
         if seen != nnz:
             raise ParseError(
                 f"{path}: line {len(lines) + 1}: unexpected end of file "
@@ -115,8 +115,8 @@ def load_matrix_market(path) -> sps.csr_matrix:
     vals = []
     for lineno, parts in data:
         vals.extend(number(tok, lineno, "value") for tok in parts)
-        if len(vals) >= expected:
-            break
+        if len(vals) > expected:
+            raise ParseError(f"{path}: line {lineno}: more than the {expected} declared values")
     if len(vals) != expected:
         raise ParseError(
             f"{path}: line {len(lines) + 1}: unexpected end of file "

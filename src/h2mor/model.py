@@ -78,12 +78,7 @@ def _to_sparse(M, name, square_of=None):
             raise DimensionMismatch(f"{name} must be real")
         S = S.astype(float)
     else:
-        arr = np.atleast_2d(np.asarray(M))
-        if np.iscomplexobj(arr):
-            raise DimensionMismatch(f"{name} must be real")
-        if arr.ndim != 2:
-            raise DimensionMismatch(f"{name} must be a matrix, got ndim={arr.ndim}")
-        S = sps.csc_matrix(arr.astype(float, copy=False))
+        S = sps.csc_matrix(_to_dense(np.atleast_2d(M), name))
     if S.shape[0] != S.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {S.shape}")
     if square_of is not None and S.shape[0] != square_of:

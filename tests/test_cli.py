@@ -173,6 +173,24 @@ class TestExitCodes:
                      "--init", "eigs"]) == 2
         assert "condition number" in assert_one_line(capsys, "solver failure: ")
 
+    @pytest.mark.parametrize("argv, named", [
+        (["reduce", "--model", "x", "--r", "2", "--algo", "foo"], "invalid choice: 'foo'"),
+        (["reduce", "--model", "x", "--r", "two"], "invalid int value: 'two'"),
+        (["reduce", "--r", "2"], "the following arguments are required: --model"),
+        (["benchmark", "--models", "x", "--r", "2", "--algos", "irka,foo"],
+         "unknown algorithm 'foo'"),
+    ], ids=["bad-algo", "non-integer-r", "missing-model", "bad-algos-entry"])
+    def test_usage_error_is_validation_error(self, capsys, argv, named):
+        # exit 2 is a solver failure, so argparse's usage exit is not used
+        assert main(argv) == 1
+        assert named in assert_one_line(capsys, "error: ")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--help"])
+        assert exc.value.code == 0
+        assert "--model" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", WRITING_COMMANDS)
     def test_unwritable_out_is_load_error(self, model_tree, tmp_path, capsys, command):
         (tmp_path / "afile").write_text("")
@@ -292,6 +310,10 @@ class TestReduce:
 
     def test_r_not_below_n(self, model_tree, capsys):
         assert main(["reduce", "--model", "toy24", "--r", "24"]) == 1
+
+    def test_init_file_needs_its_path(self, model_tree, capsys):
+        assert main(["reduce", "--model", "toy24", "--r", "4", "--init", "file"]) == 1
+        assert "--init file requires --init-file" in assert_one_line(capsys, "error: ")
 
     def test_init_from_file(self, model_tree, tmp_path, capsys):
         data = InterpolationData.zero_init(4, 2, 2)
@@ -413,6 +435,16 @@ class TestVerify:
         save_rom_dir(rom, out)
         code = main(["verify", "--model", "toy24", "--rom", str(out)])
         assert code == 1
+
+
+    def test_rom_io_mismatch_is_load_error(self, model_tree, tmp_path, capsys):
+        # no data file is needed for the optimality check, so the mismatch is
+        # what the command reports
+        out = tmp_path / "siso"
+        save_rom_dir(random_stable_model(3, 1, 1, 701), out)
+        assert main(["verify", "--model", "toy24", "--rom", str(out),
+                     "--check", "optimality"]) == 1
+        assert "do not match model (2, 2)" in assert_one_line(capsys, "error: ")
 
 
 class TestBode:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,36 @@ class TestInterpolationData:
         with pytest.raises(NotConjugateClosed):
             InterpolationData((b,)).validate(1, 1)
         InterpolationData((b, b.conjugate())).validate(1, 1)
+
+    @pytest.mark.parametrize("make", [
+        lambda: InterpolationBlock(1.0, [1.0], [1.0], length=0),
+        lambda: InterpolationData.simple([1.0, 2.0], [[1.0]], [[1.0], [2.0]]),
+        lambda: InterpolationData.simple([1.0], [[1.0]], [[1.0], [2.0]]),
+    ], ids=["chain-length-0", "right-rows", "left-rows"])
+    def test_malformed_construction(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("data, m, p, named", [
+        (random_conjugate_data(4, 2, 2, 1), 3, 2, "right tangents have size 2"),
+        (random_conjugate_data(4, 2, 2, 1), 2, 3, "left tangents have size 2"),
+        (InterpolationData.simple([np.nan], [[1.0]], [[1.0]]), 1, 1, "non-finite"),
+        (InterpolationData.simple([1.0], [[np.inf]], [[1.0]]), 1, 1, "non-finite"),
+    ], ids=["m", "p", "nan-shift", "inf-tangent"])
+    def test_validate_rejects(self, data, m, p, named):
+        with pytest.raises(ValueError, match=named):
+            data.validate(m, p)
+
+    @pytest.mark.parametrize("partner", [
+        lambda b: replace(b.conjugate(), length=2),
+        lambda b: replace(b.conjugate(), right=b.right.conj() + 1.0),
+        lambda b: replace(b.conjugate(), left=2.0 * b.left.conj()),
+    ], ids=["chain-length", "right-tangent", "left-tangent"])
+    def test_conjugate_partner_must_match(self, partner):
+        b = InterpolationBlock(1 + 1j, [1.0, 2.0 - 1j], [1.0])
+        with pytest.raises(NotConjugateClosed):
+            InterpolationData((b, partner(b))).validate(2, 1)
+        InterpolationData((b, b.conjugate())).validate(2, 1)
 
     def test_json_roundtrip(self):
         data = random_conjugate_data(4, 2, 3, 2)
@@ -111,6 +143,14 @@ class TestPrimitiveBasis:
         data = InterpolationData.simple([0.5], [[1.0]], [[1.0]])
         Z = np.zeros((10, 1), dtype=complex)
         assert sylvester_residual(model, Z, data, "input") == pytest.approx(1.0)
+
+    def test_unknown_side(self):
+        model = random_stable_model(10, 1, 1, 15)
+        data = InterpolationData.simple([0.5], [[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="side"):
+            primitive_basis(model, data, "both", ShiftedSolver(model))
+        with pytest.raises(ValueError, match="side"):
+            sylvester_residual(model, np.zeros((10, 1)), data, "both")
 
     def test_chain_moment_matching(self):
         # chain of length 3 at 0: reduced model matches G, G', G'' moments

@@ -212,6 +212,26 @@ class TestIrka:
         assert np.max(pole_residue(res.rom).poles.real) > 0
         assert sum("unstable, not converged" in r.getMessage() for r in caplog.records) == 1
 
+    def test_time_scaled_model_takes_the_same_steps(self):
+        # E -> cE divides the optimal shifts by c and changes nothing else:
+        # the same steps and LUs, and the shifts to rounding
+        base = random_stable_model(30, 1, 1, 7)
+
+        def run(c):
+            model = make_model(c * base.E, base.A, base.B, base.C)
+            return irka(model, initial_data_from_spectrum(model, 4), IrkaOptions(tol=1e-8))
+
+        ref = run(1.0)
+        assert ref.converged
+        for c in (1e-8, 1e-12):
+            res = run(c)
+            assert res.converged and res.stop_reason == "settled"
+            assert (res.iterations, res.counters.full_lu) == (ref.iterations,
+                                                               ref.counters.full_lu)
+            s = res.optimal_data.shifts * c
+            s0 = ref.optimal_data.shifts
+            assert np.abs(s[:, None] - s0).min(axis=1).max() <= 1e-12 * np.abs(s0).min()
+
     def test_order_above_n_rejected(self):
         model = random_stable_model(5, 1, 1, 98)
         init = InterpolationData.zero_init(6, 1, 1)

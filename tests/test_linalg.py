@@ -360,6 +360,26 @@ class TestGeneralizedEig:
         with pytest.raises(DefectiveSpectrum):
             conjugate_pairs(lam[::-1], range(n))
 
+    @pytest.mark.parametrize("A, E, lam", [
+        (-np.diag([1.0, 2.0]), 1e-10 * np.eye(2), [-1e10, -2e10]),
+        (-1e14 * np.diag([1.0, 2.0]), np.eye(2), [-1e14, -2e14]),
+    ], ids=["E-1e-10", "A-1e14"])
+    def test_time_scaled_diagonal(self, A, E, lam):
+        # eigenvalues large next to E are no sign of a defective pencil
+        got, X, Y = generalized_eig(A, E)
+        assert np.allclose(np.sort(got.real)[::-1], lam, rtol=1e-15, atol=0.0)
+        assert not got.imag.any()
+        assert np.allclose(Y.conj().T @ E @ X, np.eye(2), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("c", [1e-12, 1e12])
+    def test_refusal_does_not_depend_on_time_scale(self, c):
+        # the Jordan block and the cond(X) = 2e6 pencil of
+        # TestPencilEigenvalues, with E scaled by c
+        for delta in (0.0, 1e-6):
+            A = np.array([[-1.0, 1.0], [0.0, -1.0 - delta]])
+            with pytest.raises(DefectiveSpectrum, match="condition number"):
+                generalized_eig(A, c * np.eye(2))
+
     def test_singular_Er(self):
         with pytest.raises(SingularEr):
             generalized_eig(np.eye(2), np.diag([1.0, 0.0]))
@@ -547,6 +567,11 @@ class TestGeneralizedLyapunov:
         assert np.linalg.norm(res) < 1e-8 * np.linalg.norm(B @ B.T)
         assert np.allclose(P, P.T)
         assert np.min(np.linalg.eigvalsh(P)) > -1e-10 * np.linalg.norm(P)
+
+    def test_one_dimensional_B_is_a_column(self):
+        A, E = np.diag([-1.0, -2.0]), np.eye(2)
+        assert np.array_equal(solve_generalized_lyapunov(A, E, [1.0, 3.0]),
+                              solve_generalized_lyapunov(A, E, [[1.0], [3.0]]))
 
     def test_unstable_pencil(self):
         with pytest.raises(UnstablePencil):

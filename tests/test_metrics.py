@@ -27,6 +27,14 @@ class TestH2Norm:
         quad = h2_norm_quadrature(model)
         assert abs(lyap - quad) < 1e-4 * lyap
 
+    @pytest.mark.parametrize("c", [1e-6, 1e-9, 1e6])
+    def test_matches_quadrature_oracle_time_scaled(self, c):
+        # E -> cE: the band follows the spectrum, so the promised accuracy holds
+        base = random_stable_model(12, 1, 1, 3)
+        model = make_model(c * base.E, base.A, base.B, base.C)
+        lyap = h2_norm(model)
+        assert abs(lyap - h2_norm_quadrature(model)) < 1e-4 * lyap
+
     def test_homogeneity_in_C(self):
         model = random_stable_model(8, 1, 1, 301)
         scaled = make_model(model.E, model.A, model.B, 3.5 * model.C, model.D)

@@ -51,6 +51,17 @@ class TestLoadMatrixMarket:
         with pytest.raises(ParseError, match="line"):
             load_matrix_market(path)
 
+    @pytest.mark.parametrize("fmt, body, line", [
+        ("coordinate", "2 2 2\n1 1 -1.0\n2 2 -2.0\n1 2 5.0\n", 5),
+        ("array", "2 1\n1.0\n2.0\n3.0\n", 5),
+        ("array", "2 1\n1.0 2.0 3.0\n", 3),
+    ], ids=["coordinate-extra-entry", "array-extra-line", "array-long-line"])
+    def test_data_past_declared_count_names_line(self, tmp_path, fmt, body, line):
+        # trailing data is not dropped: the first line past the count is named
+        path = write(tmp_path, "x.mtx", f"%%MatrixMarket matrix {fmt} real general\n{body}")
+        with pytest.raises(ParseError, match=f"x.mtx: line {line}: more than the 2 declared"):
+            load_matrix_market(path)
+
     def test_bad_value_names_line(self, tmp_path):
         path = write(tmp_path, "b.mtx",
                      "%%MatrixMarket matrix coordinate real general\n"

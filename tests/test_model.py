@@ -86,6 +86,24 @@ class TestMakeModel:
         with pytest.raises(DimensionMismatch):
             make_model(None, [[-1.0 + 1j]], [[1.0]], [[1.0]])
 
+    @pytest.mark.parametrize("E, A, B", [
+        (None, sps.csc_matrix(np.array([[-1.0 + 1j]])), [[1.0]]),
+        (None, [[-1.0]], [[1j]]),
+        (None, -np.ones((1, 1, 1)), [[1.0]]),
+        (None, [[-1.0]], np.ones((1, 1, 1))),
+        (np.ones((1, 2)), [[-1.0]], [[1.0]]),
+        (np.eye(2), [[-1.0]], [[1.0]]),
+    ], ids=["complex-sparse-A", "complex-dense-B", "3d-A", "3d-B", "nonsquare-E",
+            "E-other-order"])
+    def test_rejects_malformed_matrices(self, E, A, B):
+        with pytest.raises(DimensionMismatch):
+            make_model(E, A, B, [[1.0]])
+
+    def test_one_dimensional_B_and_C(self):
+        model = make_model(None, np.diag([-1.0, -2.0]), [1.0, 2.0], [3.0, 4.0])
+        assert np.array_equal(model.B, [[1.0], [2.0]])
+        assert np.array_equal(model.C, [[3.0, 4.0]])
+
     def test_sparsity_preserved(self):
         model = random_stable_model(30, 1, 1, 1)
         assert sps.issparse(model.A) and sps.issparse(model.E)
@@ -207,6 +225,19 @@ class TestPoleResidue:
             s = complex(rng.uniform(0.5, 2), rng.uniform(-3, 3))
             G = eval_transfer(model, s) - model.D
             assert np.linalg.norm(prf.transfer_at(s) - G) < 1e-8 * np.linalg.norm(G)
+
+    @pytest.mark.parametrize("c", [1e-10, 1e10])
+    def test_time_scaled_model(self, c):
+        # E -> cE divides the poles by c and leaves the transfer function of s / c
+        model = random_stable_model(20, 2, 1, 13)
+        scaled = make_model(c * model.E, model.A, model.B, model.C)
+        prf, ref = pole_residue(scaled), pole_residue(model)
+        # matched to the nearest pole: sorting can swap a pair's members
+        dist = np.abs(prf.poles[:, None] * c - ref.poles).min(axis=1)
+        assert dist.max() <= 1e-12 * np.abs(ref.poles).max()
+        for s in (0.7, 1.0 + 2.0j):
+            G = eval_transfer(model, s)
+            assert np.linalg.norm(prf.transfer_at(s / c) - G) < 1e-10 * np.linalg.norm(G)
 
     def test_order_too_large(self):
         n = h2mor.DENSE_THRESHOLD + 1
