@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,8 +28,12 @@ _MATRICES = ("A", "E", "B", "C", "D")
 _OPTIONAL = ("E", "D")
 #: The size line of each Matrix Market format.
 _SIZE_LINE = {"coordinate": "rows cols nnz", "array": "rows cols"}
-#: The tokens of a coordinate entry line.
+#: The tokens of a coordinate entry line, and the columns numpy parses them into.
 _ENTRY = ("row index", "column index", "value")
+_ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
+#: str.splitlines' line breaks besides "\n" ("\r" is translated on reading).
+_ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE_END = re.compile("\r\n|[\r\n" + _ODD_BREAKS + "]")
 
 
 def load_matrix_market(path) -> sps.csr_matrix:
@@ -36,17 +43,23 @@ def load_matrix_market(path) -> sps.csr_matrix:
     entries summed.  Complex, pattern, hermitian and skew-symmetric files are
     rejected with :class:`UnsupportedField`; malformed content (data past
     the declared count too) raises :class:`ParseError` naming the line.
+
+    Only the header and size line are read line by line.  numpy parses the
+    body in one pass; when it refuses the body, or the parsed count or an
+    index is wrong, :func:`_scan_body` reads it again line by line to name
+    the bad line (a whole-line comment in the body takes that path too).
     """
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ParseError(f"{path}: line 1: empty file")
+    lines = _lines(text)
 
-    header = lines[0].split()
+    _, first, end = next(lines)
+    header = first.split()
     if len(header) != 5 or header[0] != "%%MatrixMarket" or header[1].lower() != "matrix":
         raise ParseError(f"{path}: line 1: not a MatrixMarket matrix header")
     fmt, field, symmetry = (h.lower() for h in header[2:5])
@@ -57,70 +70,45 @@ def load_matrix_market(path) -> sps.csr_matrix:
     if symmetry not in ("general", "symmetric"):
         raise UnsupportedField(f"{path}: symmetry '{symmetry}' not supported")
 
-    def number(tok, lineno, what, kind=float):
-        try:
-            return kind(tok)
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: bad {what} '{tok}'") from None
-
-    # every line after the header that is neither blank nor a comment
-    data = ((lineno, s.split()) for lineno, raw in enumerate(lines[1:], start=2)
-            if (s := raw.strip()) and not s.startswith("%"))
-    ln, size = next(data, (len(lines) + 1, None))
-    if size is None:
-        raise ParseError(f"{path}: line {ln}: missing size line")
+    # the first line after the header that is neither blank nor a comment
+    ln = 1
+    for ln, line, end in lines:
+        if (s := line.strip()) and not s.startswith("%"):
+            size = s.split()
+            break
+    else:
+        raise ParseError(f"{path}: line {ln + 1}: missing size line")
     if len(size) != len(_SIZE_LINE[fmt].split()):
         raise ParseError(f"{path}: line {ln}: {fmt} size line needs '{_SIZE_LINE[fmt]}'")
-    dims = [number(tok, ln, what, int)
+    dims = [_number(path, tok, ln, what, int)
             for tok, what in zip(size, ("row count", "column count", "entry count"))]
     if min(dims) < 0:
         raise ParseError(f"{path}: line {ln}: negative size in '{' '.join(size)}'")
     nrows, ncols = dims[:2]
     if symmetry == "symmetric" and nrows != ncols:
         raise ParseError(f"{path}: line {ln}: symmetric {fmt} must be square")
+    body = text[end:]
 
     if fmt == "coordinate":
         nnz = dims[2]
-        rows, cols, vals = [], [], []
-        seen = 0
-        for seen, (lineno, parts) in enumerate(data, start=1):
-            if seen > nnz:
-                raise ParseError(f"{path}: line {lineno}: more than the {nnz} declared entries")
-            if len(parts) != 3:
-                raise ParseError(f"{path}: line {lineno}: expected 'i j value'")
-            try:
-                i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:      # parse again, token by token, to name the bad one
-                for tok, what, kind in zip(parts, _ENTRY, (int, int, float)):
-                    number(tok, lineno, what, kind)
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise ParseError(f"{path}: line {lineno}: index ({i}, {j}) out of range")
-            rows.append(i - 1)
-            cols.append(j - 1)
-            vals.append(v)
-            if symmetry == "symmetric" and i != j:
-                rows.append(j - 1)
-                cols.append(i - 1)
-                vals.append(v)
-        if seen != nnz:
-            raise ParseError(
-                f"{path}: line {len(lines) + 1}: unexpected end of file "
-                f"({seen} of {nnz} entries)")
-        M = sps.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols))
+        # numpy ends a line only at "\n"; str.splitlines, which names the
+        # lines, ends them at more characters, so such a body is scanned
+        entries = (None if any(brk in body for brk in _ODD_BREAKS)
+                   else _bulk(io.StringIO(body), _ENTRY_DTYPE))
+        if entries is None or not _fits(entries, nnz, nrows, ncols):
+            entries = _scan_body(path, body, ln + 1, fmt, nnz, nrows, ncols)
+        i, j, v = (entries[key] for key in _ENTRY_DTYPE.names)
+        if symmetry == "symmetric":
+            i, j, v = _mirror(i, j, v)
+        M = sps.coo_matrix((v, (i - 1, j - 1)), shape=(nrows, ncols))
         return M.tocsr()    # conversion sums duplicates
 
     # array format: dense column-major values
     expected = (nrows * ncols if symmetry == "general"
                 else nrows * (nrows + 1) // 2)
-    vals = []
-    for lineno, parts in data:
-        vals.extend(number(tok, lineno, "value") for tok in parts)
-        if len(vals) > expected:
-            raise ParseError(f"{path}: line {lineno}: more than the {expected} declared values")
-    if len(vals) != expected:
-        raise ParseError(
-            f"{path}: line {len(lines) + 1}: unexpected end of file "
-            f"({len(vals)} of {expected} values)")
+    vals = _bulk(body.split(), np.float64)
+    if vals is None or len(vals) != expected:
+        vals = _scan_body(path, body, ln + 1, fmt, expected)
     M = np.zeros((nrows, ncols))
     if symmetry == "general":
         cols, rows = np.divmod(np.arange(nrows * ncols), nrows)
@@ -130,6 +118,97 @@ def load_matrix_market(path) -> sps.csr_matrix:
         M[rows, cols] = vals
         M[cols, rows] = vals
     return sps.csr_matrix(M)
+
+
+def _lines(text):
+    """Yield (line number, line, offset past its end) of ``text`` as str.splitlines splits it."""
+    pos, lineno = 0, 1
+    while pos < len(text):
+        brk = _LINE_END.search(text, pos)
+        stop, end = (brk.start(), brk.end()) if brk else (len(text), len(text))
+        yield lineno, text[pos:stop], end
+        pos, lineno = end, lineno + 1
+
+
+def _number(path, tok, lineno, what, kind=float):
+    """``kind(tok)``, or a ParseError naming the line and the token.
+
+    Python's int and float accept PEP 515 digit separators ('1_0');
+    Matrix Market has none, so a token with '_' is refused.
+    """
+    try:
+        if "_" in tok:
+            raise ValueError(tok)
+        return kind(tok)
+    except ValueError:
+        raise ParseError(f"{path}: line {lineno}: bad {what} '{tok}'") from None
+
+
+def _bulk(source, dtype):
+    """``source``, a body or its tokens, parsed by one np.loadtxt call; None if refused.
+
+    Warnings are errors: numpy before 2.0 only warns on a float such as
+    '1.0' in an integer column, and numpy warns on a body without data.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(source, dtype=dtype, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+
+
+def _fits(entries, nnz, nrows, ncols) -> bool:
+    """True when the parsed coordinate entries match the declared count and shape."""
+    i, j = entries["i"], entries["j"]
+    return len(entries) == nnz and (nnz == 0 or bool(
+        i.min() >= 1 and i.max() <= nrows and j.min() >= 1 and j.max() <= ncols))
+
+
+def _scan_body(path, body: str, first: int, fmt, count, nrows=0, ncols=0):
+    """Parse the body, whose first line is line ``first``, line by line.
+
+    Blank and comment lines are skipped.  Raises a ParseError naming the
+    first bad line; returns the entries (coordinate) or values (array) when
+    no line is bad.
+    """
+    lines = body.splitlines()
+    eof = first + len(lines)
+    data = ((lineno, s.split()) for lineno, raw in enumerate(lines, start=first)
+            if (s := raw.strip()) and not s.startswith("%"))
+    if fmt == "coordinate":
+        entries = []
+        for lineno, parts in data:
+            if len(entries) == count:
+                raise ParseError(f"{path}: line {lineno}: more than the {count} declared entries")
+            if len(parts) != 3:
+                raise ParseError(f"{path}: line {lineno}: expected 'i j value'")
+            i, j, v = (_number(path, tok, lineno, what, kind)
+                       for tok, what, kind in zip(parts, _ENTRY, (int, int, float)))
+            if not (1 <= i <= nrows and 1 <= j <= ncols):
+                raise ParseError(f"{path}: line {lineno}: index ({i}, {j}) out of range")
+            entries.append((i, j, v))
+        if len(entries) != count:
+            raise ParseError(f"{path}: line {eof}: unexpected end of file "
+                             f"({len(entries)} of {count} entries)")
+        return np.array(entries, dtype=_ENTRY_DTYPE)
+
+    vals = []
+    for lineno, parts in data:
+        vals.extend(_number(path, tok, lineno, "value") for tok in parts)
+        if len(vals) > count:
+            raise ParseError(f"{path}: line {lineno}: more than the {count} declared values")
+    if len(vals) != count:
+        raise ParseError(f"{path}: line {eof}: unexpected end of file "
+                         f"({len(vals)} of {count} values)")
+    return np.array(vals, dtype=np.float64)
+
+
+def _mirror(i, j, v):
+    """Symmetric storage expanded: each off-diagonal entry followed by its mirror image."""
+    keep = np.column_stack([np.ones(len(i), dtype=bool), i != j]).ravel()
+    return (np.column_stack([i, j]).ravel()[keep], np.column_stack([j, i]).ravel()[keep],
+            np.repeat(v, 2)[keep])
 
 
 def write_text(path, text: str) -> None:

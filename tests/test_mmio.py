@@ -1,7 +1,9 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.sparse as sps
 
 from h2mor.errors import DimensionMismatch, IoError, ParseError, UnsupportedField
@@ -153,6 +155,115 @@ class TestLoadMatrixMarket:
             load_matrix_market(tmp_path / "nope.mtx")
 
 
+def parse_error(path):
+    """The message of the ParseError reading ``path`` raises."""
+    with pytest.raises(ParseError) as info:
+        load_matrix_market(path)
+    return str(info.value)
+
+
+class TestReaderGrammar:
+    """What the reader accepts and how it names a bad line, format by format."""
+
+    def test_crlf_and_tabs(self, tmp_path):
+        path = tmp_path / "crlf.mtx"
+        path.write_bytes(b"%%MatrixMarket matrix coordinate real general\r\n"
+                         b"2\t2\t3\r\n1\t1\t-1.5\r\n2 \t1\t0.25\r\n2\t2\t-2.0\r\n")
+        assert np.array_equal(load_matrix_market(path).toarray(), [[-1.5, 0.0], [0.25, -2.0]])
+        path.write_bytes(b"%%MatrixMarket matrix array real general\r\n"
+                         b"2\t1\r\n1.5\t-2\r\n")
+        assert np.array_equal(load_matrix_market(path).toarray(), [[1.5], [-2.0]])
+
+    @pytest.mark.parametrize("fmt, body, expected", [
+        ("coordinate", "2 2 2\n\n% first\n1 1 1.0\n   \n%second\n2 1 3.0\n% last\n\n",
+         [[1.0, 0.0], [3.0, 0.0]]),
+        ("array", "2 2\n% first\n1.0 3.0\n\n% second\n2.0\n  \n4.0\n%\n",
+         [[1.0, 2.0], [3.0, 4.0]]),
+    ], ids=["coordinate", "array"])
+    def test_blank_and_comment_lines_in_body(self, tmp_path, fmt, body, expected):
+        path = write(tmp_path, "c.mtx", f"%%MatrixMarket matrix {fmt} real general\n{body}")
+        assert np.array_equal(load_matrix_market(path).toarray(), expected)
+
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x85", "\u2028"])
+    def test_lines_end_where_str_splitlines_ends_them(self, tmp_path, brk):
+        head = "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
+        path = write(tmp_path, "v.mtx", f"{head}1 1 1.0{brk}2 2 4.0\n")
+        assert np.array_equal(load_matrix_market(path).toarray(), [[1.0, 0.0], [0.0, 4.0]])
+        path = write(tmp_path, "v.mtx", f"{head}1 1{brk}1.0\n2 2 4.0\n")
+        assert parse_error(path) == f"{path}: line 3: expected 'i j value'"
+        path = write(tmp_path, "v.mtx", f"{head.replace('2 2 2', f'% c{brk}2 2 2')}1 1 1.0\n2 2\n")
+        assert parse_error(path) == f"{path}: line 5: expected 'i j value'"
+
+    @pytest.mark.parametrize("line", ["2 1", "2 1 3.0 4.0", "2 1 3.0 % trailing"])
+    def test_coordinate_line_needs_three_tokens(self, tmp_path, line):
+        path = write(tmp_path, "t.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                                        f"% c\n2 2 3\n1 1 1.0\n\n{line}\n2 2 1.0\n")
+        assert parse_error(path) == f"{path}: line 6: expected 'i j value'"
+
+    @pytest.mark.parametrize("entry, message", [
+        ("1.0 1 2.0", "bad row index '1.0'"),
+        ("1 1e0 2.0", "bad column index '1e0'"),
+        ("1 1 oops", "bad value 'oops'"),
+        ("1 1 0x10", "bad value '0x10'"),
+        ("1 99999999999999999999 2.0", "index (1, 99999999999999999999) out of range"),
+    ])
+    def test_bad_token_names_line_and_token(self, tmp_path, entry, message):
+        path = write(tmp_path, "b.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                                        f"2 2 2\n2 2 1.0\n{entry}\n")
+        assert parse_error(path) == f"{path}: line 4: {message}"
+
+    @pytest.mark.parametrize("last", ["3 1 1.0", "1 0 1.0", "0 0 1.0", "-1 2 1.0"])
+    def test_out_of_range_index_on_last_line(self, tmp_path, last):
+        path = write(tmp_path, "r.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                                        f"2 2 3\n1 1 1.0\n2 2 1.0\n{last}")
+        i, j = last.split()[:2]
+        assert parse_error(path) == f"{path}: line 5: index ({i}, {j}) out of range"
+
+    @pytest.mark.parametrize("fmt, body, message", [
+        ("coordinate", "2 2 3\n1 1 1.0\n\n", "line 5: unexpected end of file (1 of 3 entries)"),
+        ("coordinate", "2 2 1\n% only a comment\n",
+         "line 4: unexpected end of file (0 of 1 entries)"),
+        ("array", "2 2\n1.0 2.0\n3.0\n", "line 5: unexpected end of file (3 of 4 values)"),
+        ("array", "2 2\n1.0 2.0\n3.0 4.0 5.0\n", "line 4: more than the 4 declared values"),
+        ("array", "2 1\n1.0 %2.0\n", "line 3: bad value '%2.0'"),
+    ])
+    def test_count_and_value_errors_name_line(self, tmp_path, fmt, body, message):
+        path = write(tmp_path, "n.mtx", f"%%MatrixMarket matrix {fmt} real general\n{body}")
+        assert parse_error(path) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("body", ["3 2 0\n", "3 2 0", "3 2 0\n\n% none\n\n"])
+    def test_no_entries_loads_zeros_without_warning(self, tmp_path, body):
+        path = write(tmp_path, "z.mtx", f"%%MatrixMarket matrix coordinate real general\n{body}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            M = load_matrix_market(path)
+        assert not caught
+        assert M.shape == (3, 2) and M.nnz == 0
+
+    def test_array_several_values_per_line(self, tmp_path):
+        path = write(tmp_path, "a.mtx", "%%MatrixMarket matrix array real general\n"
+                                        "3 2\n1 2 3\n4\t5\n\n6\n")
+        assert np.array_equal(load_matrix_market(path).toarray(),
+                              [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+
+    def test_symmetric_repeated_off_diagonal_is_summed(self, tmp_path):
+        path = write(tmp_path, "s.mtx", "%%MatrixMarket matrix coordinate real symmetric\n"
+                                        "3 3 4\n2 1 1.5\n3 3 1.0\n2 1 0.25\n1 1 -1.0\n")
+        assert np.array_equal(load_matrix_market(path).toarray(),
+                              [[-1.0, 1.75, 0.0], [1.75, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+    @pytest.mark.parametrize("fmt, body, lineno, token", [
+        ("coordinate", "2 2 1\n1_0 1 1.0\n", 3, "row index '1_0'"),
+        ("coordinate", "2 2 1\n1 1 1_0.5\n", 3, "value '1_0.5'"),
+        ("coordinate", "1_0 10 1\n1 1 1.0\n", 2, "row count '1_0'"),
+        ("array", "2 1\n1.0\n2_0\n", 4, "value '2_0'"),
+    ])
+    def test_digit_separators_rejected(self, tmp_path, fmt, body, lineno, token):
+        # Python's int and float accept PEP 515 underscores; Matrix Market has none
+        path = write(tmp_path, "u.mtx", f"%%MatrixMarket matrix {fmt} real general\n{body}")
+        assert parse_error(path) == f"{path}: line {lineno}: bad {token}"
+
+
 class TestWriteMatrixMarket:
     def test_roundtrip_identity(self, tmp_path):
         rng = np.random.RandomState(5)
@@ -164,6 +275,33 @@ class TestWriteMatrixMarket:
         assert (back != M).nnz == 0        # identical sparsity and values
         write_matrix_market(back, tmp_path / "m2.mtx")
         assert (tmp_path / "m2.mtx").read_text() == path.read_text()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_roundtrip_is_bit_identical_and_matches_scipy(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(4, 40)), int(rng.integers(5, 40)))
+        k = int(rng.integers(0, 4 * shape[0]))
+        rows = 2 * rng.integers(1, (shape[0] + 1) // 2, k)     # odd rows and row 0 stay empty
+        cols = rng.integers(0, shape[1], k)
+        vals = rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k)
+        repeat = rng.integers(0, max(k, 1), k // 3)              # entries given twice or more
+        extremes = [5e-324, 1e308, -0.0, -1e308, 2.2250738585072014e-308]
+        rows = np.concatenate([rows, rows[repeat], np.zeros(5, dtype=int)])
+        cols = np.concatenate([cols, cols[repeat], np.arange(5)])
+        vals = np.concatenate([vals, rng.standard_normal(len(repeat)), extremes])
+        expected = sps.coo_matrix((vals, (rows, cols)), shape=shape)
+        expected.sum_duplicates()           # as the writer sums them
+        expected = expected.tocsr()
+        path = tmp_path / "r.mtx"
+        write_matrix_market(sps.coo_matrix((vals, (rows, cols)), shape=shape), path)
+        oracle = scipy.io.mmread(path).tocsr()
+        scanned = tmp_path / "s.mtx"      # a comment in the body: read line by line
+        scanned.write_text(path.read_text() + "% last line\n")
+        for M in (load_matrix_market(path), load_matrix_market(scanned), oracle):
+            assert M.shape == shape
+            assert np.array_equal(M.indptr, expected.indptr)
+            assert np.array_equal(M.indices, expected.indices)
+            assert np.array_equal(M.data.view(np.uint64), expected.data.view(np.uint64))
 
     def test_unwritable_path(self):
         with pytest.raises(IoError):
