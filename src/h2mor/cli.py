@@ -159,7 +159,9 @@ def _load(name, data_dir):
 
 
 def _fmt_shifts(data: InterpolationData) -> str:
-    vals = sorted(set(np.round(data.shifts, 10)), key=lambda z: (z.real, abs(z.imag), z.imag))
+    """One shift per conjugate group, its Im >= 0 member, sorted on (Re, Im)."""
+    firsts = (data.blocks[group[0]].sigma for group in data.conjugate_pairing())
+    vals = sorted((complex(z.real, abs(z.imag)) for z in firsts), key=lambda z: (z.real, z.imag))
     return ", ".join(f"{z.real:.4g}{z.imag:+.4g}j" if z.imag else f"{z.real:.4g}" for z in vals)
 
 

@@ -58,24 +58,15 @@ class InterpolationBlock:
         return InterpolationBlock(self.sigma.conjugate(), self.right.conj(),
                                   self.left.conj(), self.length)
 
-    def is_self_conjugate(self) -> bool:
-        if abs(self.sigma.imag) > 1e-12 * (1.0 + abs(self.sigma)):
-            return False
-        for t in (self.right, self.left):
-            nt = np.linalg.norm(t)
-            if nt > 0 and np.linalg.norm(t.imag) > 1e-12 * nt:
-                return False
-        return True
-
     def is_conjugate_of(self, other: "InterpolationBlock") -> bool:
-        if self.length != other.length:
-            return False
-        if abs(self.sigma - other.sigma.conjugate()) > 1e-9 * (1.0 + abs(self.sigma)):
-            return False
-        for a, b in ((self.right, other.right), (self.left, other.left)):
-            if np.linalg.norm(a - b.conj()) > 1e-9 * max(np.linalg.norm(a), 1e-300):
-                return False
-        return True
+        """Whether ``other`` is this block's conjugate, bit for bit."""
+        return (self.length == other.length and self.sigma == other.sigma.conjugate()
+                and np.array_equal(self.right, other.right.conj())
+                and np.array_equal(self.left, other.left.conj()))
+
+    def is_self_conjugate(self) -> bool:
+        """Whether the shift and both tangents are exactly real."""
+        return not (self.sigma.imag or self.right.imag.any() or self.left.imag.any())
 
 
 def _frozen_vector(values) -> np.ndarray:
@@ -113,7 +104,13 @@ def same_triplet(existing: InterpolationBlock, new: InterpolationBlock) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class InterpolationData:
-    """Conjugate-closed interpolation triplets with Jordan-chain structure."""
+    """Conjugate-closed interpolation triplets with Jordan-chain structure.
+
+    The blocks follow one layout: a block whose shift and tangents are
+    exactly real stands alone, and any other block is followed directly by
+    its exact conjugate (:meth:`InterpolationBlock.conjugate`).  Pairing
+    is read off this layout, so it is exact and does not depend on scale.
+    """
 
     blocks: tuple
 
@@ -142,17 +139,6 @@ class InterpolationData:
     def zero_init(cls, r: int, m: int, p: int) -> "InterpolationData":
         """All shifts at 0 with all-ones tangents: one Jordan chain of length r."""
         return cls((InterpolationBlock(0.0, np.ones(m), np.ones(p), length=r),))
-
-    @classmethod
-    def _with_pairing(cls, blocks, pairing) -> "InterpolationData":
-        """Data whose maker already knows its conjugate grouping.
-
-        ``pairing`` must be the grouping :meth:`conjugate_pairing` computes;
-        it is stored instead of rebuilt from norm tests.
-        """
-        data = cls(blocks)
-        data.__dict__["_pairing"] = tuple(pairing)
-        return data
 
     # -- structure ---------------------------------------------------------
     # The blocks never change, so everything derived from them is computed
@@ -226,34 +212,32 @@ class InterpolationData:
     def conjugate_pairing(self) -> tuple:
         """Group blocks under conjugation, in block order.
 
-        A self-conjugate block gives ``(i,)``, a complex block and its
-        conjugate partner ``(i, j)``: the format of
+        An exactly real block gives ``(i,)``, any other block and the
+        block after it ``(i, i + 1)``: the format of
         :func:`~h2mor.linalg.conjugate_pairs`.  Raises
-        :class:`NotConjugateClosed` when a complex block has no partner.
-        The blocks never change, so the grouping is computed once.
+        :class:`NotConjugateClosed`, naming the block, when a block that is
+        not real is not followed by its exact conjugate (the class's
+        layout).  The blocks never change, so the grouping is computed once.
         """
         return self._pairing
 
     @cached_property
     def _pairing(self) -> tuple:
-        unused = set(range(len(self.blocks)))
-        pairing = []
-        for i, b in enumerate(self.blocks):
-            if i not in unused:
-                continue
-            unused.discard(i)
+        blocks, pairing, i = self.blocks, [], 0
+        while i < len(blocks):
+            b = blocks[i]
             if b.is_self_conjugate():
                 pairing.append((i,))
-                continue
-            partner = next((j for j in sorted(unused) if b.is_conjugate_of(self.blocks[j])), None)
-            if partner is None:
-                raise NotConjugateClosed(f"block at sigma = {b.sigma} has no conjugate partner")
-            unused.discard(partner)
-            pairing.append((i, partner))
+            elif i + 1 < len(blocks) and b.is_conjugate_of(blocks[i + 1]):
+                pairing.append((i, i + 1))
+            else:
+                raise NotConjugateClosed(f"blocks[{i}] (sigma = {b.sigma}) is not real and "
+                                         "not followed by its exact conjugate")
+            i += len(pairing[-1])
         return tuple(pairing)
 
     def validate(self, m: int, p: int) -> None:
-        """Check tangent dimensions against a model's m and p, and conjugate closure."""
+        """Check tangent dimensions against a model's m and p, and the conjugate layout."""
         if self.m != m:
             raise ValueError(f"right tangents have size {self.m}, model has m = {m}")
         if self.p != p:
@@ -289,14 +273,15 @@ class InterpolationData:
             raise ParseError(f"malformed interpolation data: {exc!r}") from exc
 
     def perturbed(self, sigma: complex) -> "InterpolationData":
-        """Move every block at ``sigma`` or its conjugate to (1 + 1e-8)*s + 1e-8.
+        """Move every block whose shift is ``sigma`` or its conjugate to (1 + 1e-8)*s + 1e-8.
 
-        The map is real and affine, so conjugate shifts stay conjugate, bit for bit.
+        ``sigma`` is a block's shift or its conjugate, as :class:`SingularShift`
+        reports it, so the match is exact.  The map is real and affine, so
+        conjugate shifts stay conjugate, bit for bit.
         """
-        tol = 1e-14 * (1.0 + abs(sigma))
+        hit = (complex(sigma), complex(sigma).conjugate())
         return InterpolationData(tuple(
-            replace(b, sigma=(1.0 + 1e-8) * b.sigma + 1e-8)
-            if min(abs(b.sigma - sigma), abs(b.sigma - np.conj(sigma))) <= tol else b
+            replace(b, sigma=(1.0 + 1e-8) * b.sigma + 1e-8) if b.sigma in hit else b
             for b in self.blocks))
 
 

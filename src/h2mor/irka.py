@@ -142,15 +142,15 @@ def _mirrored_data(prf, groups=None):
     ``groups`` are conjugate groups of ``prf.poles`` in the format of
     :func:`~h2mor.linalg.conjugate_pairs`; by default all of them, ordered
     by (Re, |Im|).  A shift landing in the closed left half-plane has its
-    real part reflected to |Re| (``reflected`` reports it).  A complex
-    pair is built from its Im > 0 member and its conjugate, so closure is
-    exact, and the data carries the grouping it was built with.  Returns
-    ``(data, reflected)``.
+    real part reflected to |Re| (``reflected`` reports it).  Each group
+    gives a real block, or a block from its Im > 0 member directly followed
+    by that block's conjugate: the layout :class:`InterpolationData` reads
+    its pairing from.  Returns ``(data, reflected)``.
     """
     lam = prf.poles
     if groups is None:
         groups = conjugate_pairs(lam, np.lexsort((np.abs(lam.imag), lam.real)))
-    blocks, pairing = [], []
+    blocks = []
     reflected = False
     for group in groups:
         k = group[0] if lam[group[0]].imag > 0 else group[-1]
@@ -158,14 +158,13 @@ def _mirrored_data(prf, groups=None):
         if s.real <= 0.0:
             reflected = True
             s = complex(abs(s.real), s.imag)
-        pairing.append(tuple(range(len(blocks), len(blocks) + len(group))))
         if len(group) == 1:
             blocks.append(InterpolationBlock(complex(s.real), prf.input_residues[k].real,
                                              prf.output_residues[k].real))
         else:
             b = InterpolationBlock(s, prf.input_residues[k], prf.output_residues[k])
             blocks.extend([b, b.conjugate()])
-    return InterpolationData._with_pairing(blocks, pairing), reflected
+    return InterpolationData(blocks), reflected
 
 
 def _pad_to_order(data: InterpolationData, r: int) -> InterpolationData:
@@ -191,8 +190,7 @@ def _pad_to_order(data: InterpolationData, r: int) -> InterpolationData:
         if deficit == before:
             raise RankCollapse(f"cannot grow {data.r} columns to r = {r} by "
                                "extending conjugate pairs")
-    return InterpolationData._with_pairing(
-        [replace(b, length=q) for b, q in zip(data.blocks, lengths)], groups)
+    return InterpolationData([replace(b, length=q) for b, q in zip(data.blocks, lengths)])
 
 
 def irka(model: StateSpaceModel, init: InterpolationData,

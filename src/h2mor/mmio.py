@@ -85,6 +85,8 @@ def load_matrix_market(path) -> sps.csr_matrix:
     if min(dims) < 0:
         raise ParseError(f"{path}: line {ln}: negative size in '{' '.join(size)}'")
     nrows, ncols = dims[:2]
+    if max(nrows, ncols) > np.iinfo(np.int64).max:
+        raise ParseError(f"{path}: line {ln}: dimension beyond int64 in '{' '.join(size)}'")
     if symmetry == "symmetric" and nrows != ncols:
         raise ParseError(f"{path}: line {ln}: symmetric {fmt} must be square")
     body = text[end:]

@@ -6,6 +6,7 @@ import pytest
 
 from h2mor import (
     DENSE_THRESHOLD,
+    InterpolationBlock,
     InterpolationData,
     hermite_reduce,
     make_model,
@@ -14,7 +15,7 @@ from h2mor import (
     verify_realization_equivalence,
     verify_tangential_interpolation,
 )
-from h2mor.cli import main
+from h2mor.cli import _fmt_shifts, main
 from h2mor.errors import DefectiveSpectrum
 from h2mor.mmio import load_rom_dir, save_rom_dir, write_matrix_market
 
@@ -322,6 +323,23 @@ class TestReduce:
         code = main(["reduce", "--model", "toy24", "--r", "4", "--algo", "irka",
                      "--init", "file", "--init-file", str(f)])
         assert code == 0
+
+    def test_split_pair_init_file_names_block(self, model_tree, tmp_path, capsys):
+        b = InterpolationBlock(1 + 1j, [1.0, 2.0], [1.0, 1.0])
+        real = InterpolationBlock(2.0, [1.0, 1.0], [1.0, 1.0])
+        f = tmp_path / "init.json"
+        f.write_text(json.dumps(InterpolationData((b, real, b.conjugate())).to_jsonable()))
+        code = main(["reduce", "--model", "toy24", "--r", "3", "--algo", "irka",
+                     "--init", "file", "--init-file", str(f)])
+        assert code == 1
+        assert "blocks[0]" in assert_one_line(capsys, "error: ")
+
+    def test_optimal_shifts_print_at_any_scale(self):
+        # one entry per conjugate group, unrounded: shifts near 1e-12 stay apart
+        b = InterpolationBlock(2e-12 + 3e-12j, [1.0], [1.0])
+        data = InterpolationData((InterpolationBlock(5e-12, [1.0], [1.0]), b, b.conjugate(),
+                                  InterpolationBlock(1e-12, [1.0], [1.0])))
+        assert _fmt_shifts(data) == "1e-12, 2e-12+3e-12j, 5e-12"
 
     @pytest.mark.parametrize("payload", MALFORMED_DATA)
     def test_malformed_init_file_is_load_error(self, model_tree, tmp_path, capsys, payload):

@@ -81,6 +81,23 @@ class TestInterpolationData:
             InterpolationData((b, partner(b))).validate(2, 1)
         InterpolationData((b, b.conjugate())).validate(2, 1)
 
+    @pytest.mark.parametrize("shifts", [[1e-10 + 1e-11j, 3e-10 - 2e-11j], [1e-10 + 1e-13j]],
+                             ids=["two-shifts", "lone-block"])
+    def test_small_shifts_pair_only_exactly(self, shifts):
+        # pairing does not depend on scale: near 1e-10 only the exact conjugate pairs
+        ones = np.ones((len(shifts), 1))
+        with pytest.raises(NotConjugateClosed, match=r"blocks\[0\]"):
+            InterpolationData.simple(shifts, ones, ones).validate(1, 1)
+        z = shifts[0]
+        InterpolationData.simple([z, z.conjugate()], np.ones((2, 1)), np.ones((2, 1))).validate(1, 1)
+
+    def test_pair_split_by_real_block_refused(self):
+        b = InterpolationBlock(1 + 1j, [1.0], [1.0])
+        real = InterpolationBlock(2.0, [1.0], [1.0])
+        with pytest.raises(NotConjugateClosed, match=r"blocks\[0\]"):
+            InterpolationData((b, real, b.conjugate())).validate(1, 1)
+        InterpolationData((real, b, b.conjugate())).validate(1, 1)
+
     def test_json_roundtrip(self):
         data = random_conjugate_data(4, 2, 3, 2)
         back = InterpolationData.from_jsonable(data.to_jsonable())
@@ -109,6 +126,17 @@ class TestInterpolationData:
         pert = data.perturbed(sigma)
         pert.validate(1, 1)
         assert abs(pert.blocks[0].sigma - ((1 + 1e-8) * sigma + 1e-8)) < 1e-14 * abs(sigma)
+
+    def test_perturbed_moves_exact_matches_only(self):
+        data = InterpolationData.simple([1e-15, 2e-15], [[1.0], [1.0]], [[1.0], [1.0]])
+        pert = data.perturbed(1e-15)
+        assert pert.blocks[0].sigma == (1 + 1e-8) * 1e-15 + 1e-8
+        assert pert.blocks[1] is data.blocks[1]
+        # the conjugate of a block's shift moves the block and its partner
+        data = random_conjugate_data(4, 1, 1, 3)
+        pert = data.perturbed(data.blocks[2].sigma.conjugate())
+        assert [p is b for p, b in zip(pert.blocks, data.blocks)] == [True, True, False, False]
+        pert.validate(1, 1)
 
 
 class TestPrimitiveBasis:

@@ -114,6 +114,16 @@ class TestLoadMatrixMarket:
         with pytest.raises(ParseError, match=f"neg.mtx: line 2: negative size in '{size}'"):
             load_matrix_market(path)
 
+    @pytest.mark.parametrize("fmt, size", [("coordinate", "99999999999999999999 2 0"),
+                                           ("coordinate", "2 99999999999999999999 0"),
+                                           ("array", "99999999999999999999 1")])
+    def test_size_beyond_int64_names_file_and_line(self, tmp_path, fmt, size):
+        path = write(tmp_path, "big.mtx",
+                     f"%%MatrixMarket matrix {fmt} real general\n{size}\n")
+        with pytest.raises(ParseError,
+                           match=f"big.mtx: line 2: dimension beyond int64 in '{size}'"):
+            load_matrix_market(path)
+
     def test_array_format(self, tmp_path):
         path = write(tmp_path, "a.mtx",
                      "%%MatrixMarket matrix array real general\n"
