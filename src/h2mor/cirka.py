@@ -58,7 +58,7 @@ UPDATE_STRATEGIES = ("U1", "U2", "U3")
 
 @dataclass
 class CirkaOptions:
-    """Outer-loop controls; defaults match the reference experiments (I.2 + U.2)."""
+    """Outer-loop controls (reference defaults: I.2 + U.2); the order cap is n // 2."""
 
     inner: IrkaOptions = field(default_factory=IrkaOptions)
     init_strategy: str = "I2"
@@ -66,7 +66,6 @@ class CirkaOptions:
     initial_nM: int | None = None        # default 2r
     outer_tol: float = 1e-3
     outer_max_iter: int = 15
-    max_model_order: int | None = None   # default n // 2
     compute_error_estimate: bool = True
     verify_optimality: bool = True
 
@@ -79,8 +78,6 @@ class CirkaOptions:
             raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol}")
         if self.outer_max_iter < 1:
             raise ValueError("outer_max_iter must be >= 1")
-        if self.max_model_order is not None and self.max_model_order < 1:
-            raise ValueError("max_model_order must be >= 1")
 
     def initial_order(self, r: int) -> int:
         """The initial model-function order: 2r by default; I.2 allows only 2r, I.1 any above r."""
@@ -90,10 +87,6 @@ class CirkaOptions:
         if n_model <= r:
             raise ValueError(f"model-function order {n_model} must exceed r = {r}")
         return n_model
-
-    def order_cap(self, n: int) -> int:
-        """The model-function order cap: ``max_model_order`` (default n // 2), at most n."""
-        return min(self.max_model_order or n // 2, n)
 
 
 @dataclass(eq=False)
@@ -134,14 +127,15 @@ def _extend(entries: list, idx: int, extra: int) -> None:
     entries[idx] = (replace(b, length=b.length + extra), None)
 
 
-def _build(model: StateSpaceModel, entries: list, solver: ShiftedSolver,
-           cap: int) -> ModelFunction:
+def _build(model: StateSpaceModel, entries: list, solver: ShiftedSolver) -> ModelFunction:
     """Make the model function of ``(block, columns or None)`` entries.
 
-    The order cap is checked before any solve.  Blocks without columns get
-    theirs from :func:`primitive_basis`, one block at a time at its final
+    The order cap n // 2 is checked before any solve.  Blocks without columns
+    get theirs from :func:`primitive_basis`, one block at a time at its final
     chain length; then all columns are projected.
     """
+    # above half the model order, CIRKA costs more wall time than direct IRKA
+    cap = model.n // 2
     total = sum(b.length for b, _ in entries)
     if total > cap:
         raise ModelOrderExceeded(f"model-function order {total} exceeds the cap {cap}")
@@ -184,8 +178,7 @@ def init_model_function(model: StateSpaceModel, data0: InterpolationData,
     with all-ones tangents (a chain of ``data0`` at that triplet grows
     instead).  I.2 doubles every chain of ``data0`` (Hermite doubling), which
     fixes ``n_M = 2 r``.  See :meth:`CirkaOptions.initial_order` for n_M; an
-    order above :meth:`CirkaOptions.order_cap` raises
-    :class:`ModelOrderExceeded`.
+    order above n // 2 raises :class:`ModelOrderExceeded`.
     """
     opts = opts or CirkaOptions()
     if solver is None:
@@ -203,7 +196,7 @@ def init_model_function(model: StateSpaceModel, data0: InterpolationData,
             entries.append((ones, None))
         else:
             _extend(entries, idx, ones.length)
-    return _build(model, entries, solver, opts.order_cap(model.n))
+    return _build(model, entries, solver)
 
 
 def update_model_function(model: StateSpaceModel, mf: ModelFunction,
@@ -217,7 +210,8 @@ def update_model_function(model: StateSpaceModel, mf: ModelFunction,
     around ``opt_data`` at constant order.  Returns ``(model_function,
     columns_added)``.  In every case the resulting history interpolates all
     of ``opt_data``, which is the update condition that transfers optimality
-    to the full model.
+    to the full model.  An order above n // 2 raises
+    :class:`ModelOrderExceeded`.
     """
     opts = opts or CirkaOptions()
     if solver is None:
@@ -239,7 +233,7 @@ def update_model_function(model: StateSpaceModel, mf: ModelFunction,
         else:
             _extend(entries, idx, b.length)
         added += b.length
-    return _build(model, entries, solver, opts.order_cap(model.n)), added
+    return _build(model, entries, solver), added
 
 
 # -- verification and estimation ----------------------------------------------
@@ -384,9 +378,9 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
     surrogate, warm-starting each inner run with the previous optimal data,
     until the optimal data pass IRKA's stop test at ``outer_tol`` or
     ``outer_max_iter`` is hit; ``converged`` also needs a converged last
-    inner run.  If an update would exceed the order cap, the run falls back
-    to direct IRKA on the full model, flags it, reports that run's
-    ``converged`` and adds its time to the counters.  Inner steps that
+    inner run.  If an update would exceed the order cap n // 2, the run
+    falls back to direct IRKA on the full model, flags it, reports that
+    run's ``converged`` and adds its time to the counters.  Inner steps that
     perturbed a shift off the spectrum are summarized in one warning per
     run, and inner runs that stopped on a cycle in one INFO line.  A
     built-in check of the returned reduced model that is refused (see

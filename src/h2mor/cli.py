@@ -88,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nm", type=int, default=None, help="initial model-function order (default 2r)")
     p.add_argument("--outer-tol", type=float, default=CirkaOptions().outer_tol)
     p.add_argument("--outer-max-iter", type=int, default=CirkaOptions().outer_max_iter)
-    p.add_argument("--max-model-order", type=int, default=None)
     p.add_argument("--no-error", action="store_true", help="skip the H2 error computation")
     p.add_argument("--out", default=None, help="directory for rom matrices and result JSON")
     _add_common(p)
@@ -173,13 +172,9 @@ def cmd_reduce(args) -> int:
         opts = CirkaOptions(inner=inner, init_strategy=args.init_strategy,
                             update_strategy=args.update_strategy,
                             initial_nM=args.nm, outer_tol=args.outer_tol,
-                            outer_max_iter=args.outer_max_iter,
-                            max_model_order=args.max_model_order)
+                            outer_max_iter=args.outer_max_iter)
         if args.algo == "cirka":
-            n_model = opts.initial_order(args.r)
-            if args.max_model_order is not None and args.max_model_order < n_model:
-                raise ValueError(f"--max-model-order {args.max_model_order} is below the "
-                                 f"initial model-function order {n_model}")
+            opts.initial_order(args.r)      # checks --nm against I.1 and I.2 before loading
         name, model = _load(args.model, args.data_dir)
         if args.r >= model.n:
             raise ValueError(f"r = {args.r} must be below the model order {model.n}")
@@ -215,6 +210,8 @@ def cmd_reduce(args) -> int:
     print(f"algorithm {args.algo}, r = {args.r}, init = {args.init}: "
           f"converged = {str(converged).lower()}")
     print(f"stop reason = {stop_reason}")
+    if args.algo == "cirka":
+        print(f"fallback to direct IRKA = {str(res.fallback_direct).lower()}")
     print(k_line)
     print(f"n_LU (full order) = {counters.full_lu}"
           + (f", n_LU (surrogate) = {counters.surrogate_lu}" if args.algo == "cirka" else ""))
@@ -232,7 +229,9 @@ def cmd_reduce(args) -> int:
         out = Path(args.out)
         summary = {
             "model": name, "algorithm": args.algo, "r": args.r, "init": args.init,
-            "converged": converged, "stop_reason": stop_reason, "n_lu_full": counters.full_lu,
+            "converged": converged, "stop_reason": stop_reason,
+            "fallback_direct": res.fallback_direct if args.algo == "cirka" else None,
+            "n_lu_full": counters.full_lu,
             "n_lu_surrogate": counters.surrogate_lu if args.algo == "cirka" else None,
             "rel_h2_error": rel, "rel_h2_estimate": estimate,
             "optimality_residual": None if report is None else report.max_residual,

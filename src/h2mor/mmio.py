@@ -99,27 +99,33 @@ def load_matrix_market(path) -> sps.csr_matrix:
                    else _bulk(io.StringIO(body), _ENTRY_DTYPE))
         if entries is None or not _fits(entries, nnz, nrows, ncols):
             entries = _scan_body(path, body, ln + 1, fmt, nnz, nrows, ncols)
-        i, j, v = (entries[key] for key in _ENTRY_DTYPE.names)
-        if symmetry == "symmetric":
-            i, j, v = _mirror(i, j, v)
-        M = sps.coo_matrix((v, (i - 1, j - 1)), shape=(nrows, ncols))
-        return M.tocsr()    # conversion sums duplicates
-
-    # array format: dense column-major values
-    expected = (nrows * ncols if symmetry == "general"
-                else nrows * (nrows + 1) // 2)
-    vals = _bulk(body.split(), np.float64)
-    if vals is None or len(vals) != expected:
-        vals = _scan_body(path, body, ln + 1, fmt, expected)
-    M = np.zeros((nrows, ncols))
-    if symmetry == "general":
-        cols, rows = np.divmod(np.arange(nrows * ncols), nrows)
-        M[rows, cols] = vals
     else:
-        cols, rows = np.triu_indices(nrows)     # the lower triangle, column by column
-        M[rows, cols] = vals
-        M[cols, rows] = vals
-    return sps.csr_matrix(M)
+        # array format: dense column-major values
+        expected = nrows * ncols if symmetry == "general" else nrows * (nrows + 1) // 2
+        vals = _bulk(body.split(), np.float64)
+        if vals is None or len(vals) != expected:
+            vals = _scan_body(path, body, ln + 1, fmt, expected)
+
+    # numpy or scipy raise these when the declared shape is too large to hold
+    try:
+        if fmt == "coordinate":
+            i, j, v = (entries[key] for key in _ENTRY_DTYPE.names)
+            if symmetry == "symmetric":
+                i, j, v = _mirror(i, j, v)
+            M = sps.coo_matrix((v, (i - 1, j - 1)), shape=(nrows, ncols))
+            return M.tocsr()    # conversion sums duplicates
+        M = np.zeros((nrows, ncols))
+        if symmetry == "general":
+            cols, rows = np.divmod(np.arange(nrows * ncols), nrows)
+            M[rows, cols] = vals
+        else:
+            cols, rows = np.triu_indices(nrows)     # the lower triangle, column by column
+            M[rows, cols] = vals
+            M[cols, rows] = vals
+        return sps.csr_matrix(M)
+    except (ValueError, MemoryError) as exc:
+        raise ParseError(f"{path}: line {ln}: cannot hold a matrix of size "
+                         f"'{' '.join(size)}': {exc}") from exc
 
 
 def _lines(text):

@@ -84,14 +84,11 @@ class TestInitModelFunction:
             init_model_function(model, data0, CirkaOptions(init_strategy="I2", initial_nM=10))
 
     def test_order_cap(self):
+        # an order above the model order meets the cap n // 2 first
         model = random_stable_model(20, 1, 1, 207)
         data0 = InterpolationData.zero_init(4, 1, 1)
-        with pytest.raises(ModelOrderExceeded):
-            init_model_function(model, data0, CirkaOptions(init_strategy="I1", initial_nM=12,
-                                                           max_model_order=10))
-        with pytest.raises(ModelOrderExceeded):      # the model order caps too
-            init_model_function(model, data0, CirkaOptions(init_strategy="I1", initial_nM=21,
-                                                           max_model_order=100))
+        with pytest.raises(ModelOrderExceeded, match="order 21 exceeds the cap 10"):
+            init_model_function(model, data0, CirkaOptions(init_strategy="I1", initial_nM=21))
 
     def test_default_cap_is_half_the_model_order(self):
         # the cap cirka uses, n // 2 = 10, holds for a direct call too
@@ -123,8 +120,8 @@ class TestInitModelFunction:
 
 
 class TestUpdateModelFunction:
-    def _setup(self, seed):
-        model = random_stable_model(40, 2, 2, seed)
+    def _setup(self, seed, n=40):
+        model = random_stable_model(n, 2, 2, seed)
         data0 = random_conjugate_data(4, 2, 2, seed + 1)
         mf = init_model_function(model, data0)
         return model, data0, mf
@@ -191,11 +188,11 @@ class TestUpdateModelFunction:
         assert updated.history.r == 2 * new_data.r == mf.history.r
 
     def test_order_cap_raises(self):
-        model, data0, mf = self._setup(220)
+        # 8 + 4 columns exceed the cap n // 2 = 10
+        model, data0, mf = self._setup(220, n=20)
         new_data = random_conjugate_data(4, 2, 2, 2026)
         with pytest.raises(ModelOrderExceeded):
-            update_model_function(model, mf, new_data, CirkaOptions(
-                update_strategy="U1", max_model_order=mf.history.r + 2))
+            update_model_function(model, mf, new_data, CirkaOptions(update_strategy="U1"))
 
     def test_sylvester_invariant_after_update(self):
         from h2mor import sylvester_residual
@@ -209,7 +206,7 @@ class TestUpdateModelFunction:
 
 class TestCirka:
     @pytest.mark.parametrize("bad", [dict(outer_tol=0.0), dict(outer_tol=np.inf),
-                                     dict(outer_tol=np.nan), dict(max_model_order=0)])
+                                     dict(outer_tol=np.nan)])
     def test_option_validation(self, bad):
         with pytest.raises(ValueError):
             CirkaOptions(**bad)
@@ -346,9 +343,9 @@ class TestCirka:
         assert not any("retrying" in r.getMessage() for r in caplog.records)
 
     def test_fallback_to_direct_irka(self):
-        model = random_stable_model(30, 1, 1, 504)
+        model = random_stable_model(18, 1, 1, 504)     # cap n // 2 = 9, hit quickly
         init = InterpolationData.zero_init(4, 1, 1)
-        opts = tight_opts(max_model_order=9, outer_max_iter=10)   # cap hit quickly
+        opts = tight_opts(outer_max_iter=10)
         res = cirka(model, init, opts)
         assert res.fallback_direct
 
@@ -554,7 +551,7 @@ class TestEstimateError:
 
         model = spring_chain_model(30, seed=4)
         init = InterpolationData.zero_init(4, 1, 1)
-        res = cirka(model, init, tight_opts(max_model_order=24))
+        res = cirka(model, init, tight_opts())
         assert res.converged and res.error_estimate is not None
         _, true_rel = h2_error(model, res.rom)
         assert res.error_estimate < true_rel

@@ -69,10 +69,6 @@ REJECTED_REDUCE_INPUTS = [
     pytest.param(["--tol", "nan"], None, id="tol-nan"),
     pytest.param(["--outer-tol", "inf"], None, id="outer-tol-inf"),
     pytest.param(["--outer-tol", "nan"], None, id="outer-tol-nan"),
-    pytest.param(["--max-model-order", "-1"], None, id="max-model-order-negative"),
-    pytest.param(["--max-model-order", "7"], None, id="max-model-order-below-2r"),
-    pytest.param(["--init-strategy", "I1", "--nm", "6", "--max-model-order", "5"], None,
-                 id="max-model-order-below-I1-nm"),
     pytest.param([], InterpolationData.zero_init(4, 3, 2), id="file-tangent-size"),
     pytest.param([], InterpolationData.simple([1 + 1j, 1 - 2j, 2, 3], np.ones((4, 2)),
                                               np.ones((4, 2))), id="file-not-closed"),
@@ -241,12 +237,16 @@ class TestReduce:
 
     def test_result_json_surrogate_lus(self, cirka_tree, tmp_path, capsys):
         # CIRKA writes its surrogate LUs, 0 when its inner runs solve with the
-        # surrogate's eigendecomposition; IRKA has none and writes null
-        for algo, expected in (("cirka", 0), ("irka", None)):
+        # surrogate's eigendecomposition; IRKA has none and writes null, as it
+        # does for the CIRKA-only fallback flag
+        for algo, expected, fallback in (("cirka", 0, False), ("irka", None, None)):
             out = tmp_path / algo
             assert main(["reduce", "--model", "toy60", "--r", "4", "--algo", algo,
                          "--out", str(out)]) == 0
-            assert json.loads((out / "result.json").read_text())["n_lu_surrogate"] == expected
+            summary = json.loads((out / "result.json").read_text())
+            assert summary["n_lu_surrogate"] == expected
+            assert summary["fallback_direct"] is fallback
+            assert ("fallback to direct IRKA" in capsys.readouterr().out) is (algo == "cirka")
 
     @pytest.mark.parametrize("seed, algo, reason", [
         (511, "irka", "cycle"),
@@ -295,10 +295,15 @@ class TestReduce:
         err = capsys.readouterr().err
         assert "cdplayer" in err
 
-    def test_cirka_model_function_above_n(self, model_tree, capsys):
+    def test_cirka_model_function_above_n(self, model_tree, tmp_path, capsys):
         # 2r = 26 exceeds n = 24: CIRKA falls back to direct IRKA
-        assert main(["reduce", "--model", "toy24", "--r", "13", "--algo", "cirka"]) == 0
-        assert "k_CIRKA" in capsys.readouterr().out
+        out = tmp_path / "rom"
+        assert main(["reduce", "--model", "toy24", "--r", "13", "--algo", "cirka",
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert "k_CIRKA" in printed
+        assert "fallback to direct IRKA = true\n" in printed
+        assert json.loads((out / "result.json").read_text())["fallback_direct"] is True
 
     def test_rank_collapse_is_solver_failure(self, tmp_path, monkeypatch, capsys):
         # 2r = 60 > n = 50: CIRKA falls back to direct IRKA, whose zero-init

@@ -352,9 +352,52 @@ def _real_form_model(poles, m, p, seed):
     return make_model(E, E @ A, rng.standard_normal((n, m)), rng.standard_normal((p, n)))
 
 
+def assert_mirrored_layout(prf, data, order=None):
+    """``data`` is the layout :func:`_mirrored_data` documents for ``prf``'s poles.
+
+    The poles are visited in ``order`` (by default all of them, in
+    ``lexsort((|Im|, Re))`` order).  A real pole gives one block at its
+    mirror -conj(lambda), reflected to Re > 0, with the real parts of its
+    residues as tangents.  A conjugate pair, at its Im > 0 member, gives a
+    block at that member's mirror with its residues, directly followed by
+    the block's exact conjugate.
+    """
+    lam = prf.poles
+    if order is None:
+        order = np.lexsort((np.abs(lam.imag), lam.real))
+    blocks = iter(data.blocks)
+    for k in order:
+        if lam[k].imag < 0.0:
+            continue            # its pair's blocks come at the Im > 0 member
+        s = -lam[k].conjugate()
+        right, left = prf.input_residues[k], prf.output_residues[k]
+        if lam[k].imag == 0.0:
+            right, left = right.real, left.real
+        b = next(blocks)
+        assert b.sigma == complex(abs(s.real), s.imag)
+        assert np.array_equal(b.right, right) and np.array_equal(b.left, left)
+        if lam[k].imag > 0.0:
+            c = next(blocks)
+            assert c.sigma == b.sigma.conjugate()
+            assert np.array_equal(c.right, b.right.conj())
+            assert np.array_equal(c.left, b.left.conj())
+    assert next(blocks, None) is None
+
+
+def assert_padding_keeps(data, r):
+    """``_pad_to_order(data, r)`` has r columns, ``data``'s groups and its shifts and tangents."""
+    padded = _pad_to_order(data, r)
+    assert padded.r == r
+    assert padded.conjugate_pairing() == data.conjugate_pairing()
+    assert len(padded.blocks) == len(data.blocks)
+    for old, new in zip(data.blocks, padded.blocks):
+        assert new.sigma == old.sigma
+        assert np.array_equal(new.right, old.right) and np.array_equal(new.left, old.left)
+
+
 class TestKnownPairing:
-    """Data built with the conjugate grouping its maker knows pairs its
-    blocks as the norm tests of a fresh InterpolationData do."""
+    """Data made from a spectrum come in the layout :func:`_mirrored_data`
+    documents, and padding keeps it."""
 
     CASES = [
         ([-1.0, -2.0, -3.0], 1, 1),
@@ -364,35 +407,39 @@ class TestKnownPairing:
         ([-1e-3 + 50j, -1e-3 - 50j, -1e3], 1, 1),
     ]
 
-    @staticmethod
-    def assert_pairing_as_rebuilt(data):
-        assert data.conjugate_pairing() == InterpolationData(data.blocks).conjugate_pairing()
-
     @pytest.mark.parametrize("poles, m, p", CASES)
     def test_mirrored_and_padded(self, poles, m, p):
         prf = pole_residue(_real_form_model(poles, m, p, seed=len(poles)))
         data, reflected = _mirrored_data(prf)
         assert reflected == any(z.real > 0.0 for z in poles)
-        self.assert_pairing_as_rebuilt(data)
+        assert_mirrored_layout(prf, data)
         for deficit in (1, 2, 3):
             if deficit % 2 and all(len(g) == 2 for g in data.conjugate_pairing()):
                 continue
-            self.assert_pairing_as_rebuilt(_pad_to_order(data, data.r + deficit))
+            assert_padding_keeps(data, data.r + deficit)
 
     @pytest.mark.parametrize("poles, m, p", CASES)
     def test_stable_subset(self, poles, m, p):
+        # given groups are visited in their own order, here the poles' index order
         prf = pole_residue(_real_form_model(poles, m, p, seed=len(poles)))
         lam = prf.poles
         stable = [g for g in conjugate_pairs(lam, range(len(lam))) if lam[g[0]].real < 0.0]
-        self.assert_pairing_as_rebuilt(_mirrored_data(prf, stable)[0])
+        order = [k for k in range(len(lam)) if lam[k].real < 0.0]
+        assert_mirrored_layout(prf, _mirrored_data(prf, stable)[0], order)
 
     @pytest.mark.parametrize("seed", [3, 7, 11])
     def test_random_models_and_spectrum_init(self, seed):
         model = random_stable_model(12, 2, 1, seed)
-        data, _ = _mirrored_data(pole_residue(model))
-        self.assert_pairing_as_rebuilt(data)
-        self.assert_pairing_as_rebuilt(_pad_to_order(data, data.r + 2))
-        self.assert_pairing_as_rebuilt(initial_data_from_spectrum(model, 4))
+        prf = pole_residue(model)
+        data, _ = _mirrored_data(prf)
+        assert_mirrored_layout(prf, data)
+        assert_padding_keeps(data, data.r + 2)
+        # the spectrum init visits its picks by magnitude
+        init = initial_data_from_spectrum(model, 4)
+        picked = set(init.shifts.tolist())
+        lam = prf.poles
+        order = [k for k in np.argsort(np.abs(lam)) if -lam[k].conjugate() in picked]
+        assert_mirrored_layout(prf, init, order)
 
 
 class TestSpectrumInitialization:

@@ -124,6 +124,34 @@ class TestLoadMatrixMarket:
                            match=f"big.mtx: line 2: dimension beyond int64 in '{size}'"):
             load_matrix_market(path)
 
+    @pytest.mark.parametrize("fmt, size", [("coordinate", "9223372036854775807 2 0"),
+                                           ("array", "9223372036854775807 0")])
+    def test_size_too_large_to_hold_names_file_and_line(self, tmp_path, fmt, size):
+        # within int64, but scipy or numpy refuse the shape before allocating
+        path = write(tmp_path, "huge.mtx",
+                     f"%%MatrixMarket matrix {fmt} real general\n{size}\n")
+        with pytest.raises(ParseError,
+                           match=f"huge.mtx: line 2: cannot hold a matrix of size '{size}'"):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("fmt, size, body, owner, name", [
+        ("coordinate", "3 2 1", "1 1 1.0\n", sps.coo_matrix, "tocsr"),
+        ("array", "2 1", "1.0\n2.0\n", sps, "csr_matrix"),
+    ], ids=["coordinate", "array"])
+    def test_conversion_out_of_memory_names_file_and_line(self, tmp_path, monkeypatch, fmt,
+                                                          size, body, owner, name):
+        # a row count that fits int64 can still need a CSR index array larger
+        # than memory; the conversion is made to fail instead of allocating
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(owner, name, out_of_memory)
+        path = write(tmp_path, "rows.mtx",
+                     f"%%MatrixMarket matrix {fmt} real general\n{size}\n{body}")
+        with pytest.raises(ParseError, match="rows.mtx: line 2: cannot hold a matrix of size "
+                                             f"'{size}': Unable to allocate"):
+            load_matrix_market(path)
+
     def test_array_format(self, tmp_path):
         path = write(tmp_path, "a.mtx",
                      "%%MatrixMarket matrix array real general\n"
