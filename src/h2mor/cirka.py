@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -272,18 +271,17 @@ def estimate_error(mf: ModelFunction, rom: StateSpaceModel):
     """Surrogate-based estimate of the relative H2 reduction error.
 
     Returns ``(estimate, used_stable_part)`` with
-    estimate = ||G_mf - G_rom||_H2 / ||G_mf||_H2, where the stable part of
-    the surrogate is substituted when the error system's Gramian finds the
-    surrogate unstable.
+    estimate = ||G_s - G_rom||_H2 / ||G_s||_H2, where G_s is
+    :func:`~h2mor.linalg.stable_part` of the surrogate: the surrogate itself
+    when stable, else its modal truncation to the stable modes.  G_s is
+    stable, so an unstable error system means an unstable ``rom`` and raises
+    :class:`UnstableRom`.
     """
+    surrogate = stable_part(mf.surrogate)
     try:
-        return h2_error(mf.surrogate, rom)[1], False
-    except UnstablePencil:
-        surrogate = stable_part(mf.surrogate)
-    if surrogate is not mf.surrogate:
-        with suppress(UnstablePencil):      # if so, the rom is unstable
-            return h2_error(surrogate, rom)[1], True
-    raise UnstableRom("error estimate needs a stable reduced model")
+        return h2_error(surrogate, rom)[1], surrogate is not mf.surrogate
+    except UnstablePencil as exc:
+        raise UnstableRom("error estimate needs a stable reduced model") from exc
 
 
 def unless_refused(check: str, func, *args):

@@ -29,7 +29,7 @@ from .errors import (
     StructurallySingularE,
     UnstablePencil,
 )
-from .model import DENSE_THRESHOLD, StateSpaceModel, make_model, pole_residue
+from .model import DENSE_THRESHOLD, StateSpaceModel, project
 
 log = logging.getLogger(__name__)
 
@@ -532,38 +532,26 @@ def solve_generalized_lyapunov(A, E, B) -> np.ndarray:
 
 
 def stable_part(model: StateSpaceModel) -> StateSpaceModel:
-    """Discard modes with Re(lambda) >= 0; returns a real model of the stable modes.
+    """The model itself when stable, else its modal truncation to Re(lambda) < 0.
 
-    The input must be dense-convertible with simple eigenvalues.  A fully
-    stable model is returned unchanged.
+    Stability is read off the pencil's eigenvalues alone, so a stable model
+    is returned unchanged even when its eigenvectors are unusable.  An
+    unstable one is projected onto its stable right and left eigenvectors
+    (:func:`generalized_eig`), folded to real columns: one per real mode,
+    real and imaginary parts per conjugate pair.  The projection spans each
+    stable eigenspace whole, so it reads no pairing of left and right
+    eigenvectors and truncates a repeated eigenvalue exactly.
     """
-    pr = pole_residue(model)
-    lam, b_rows, c_rows = pr.poles, pr.input_residues, pr.output_residues
-    stable = lam.real < 0.0
-    if np.all(stable):
+    if np.all(pencil_eigenvalues(model).real < 0.0):
         return model
-
-    blocks_a, rows_b, cols_c = [], [], []
-    for group in conjugate_pairs(lam, np.lexsort((lam.imag, lam.real))):
-        i = group[0]
-        if not stable[i]:
-            continue
-        li = lam[i]
-        if len(group) == 1:
-            blocks_a.append(np.array([[li.real]]))
-            rows_b.append(b_rows[i].real.reshape(1, -1))
-            cols_c.append(c_rows[i].real.reshape(-1, 1))
-            continue
-        a, b = li.real, li.imag
-        blocks_a.append(np.array([[a, -b], [b, a]]))
-        bt = b_rows[i]
-        c = c_rows[i]
-        rows_b.append(np.vstack([bt.real, bt.imag]))
-        cols_c.append(np.column_stack([2.0 * c.real, -2.0 * c.imag]))
-
-    if not blocks_a:
+    E, A = model.dense()[:2]
+    lam, X, Y = generalized_eig(A, E)
+    keep = [g for g in conjugate_pairs(lam, range(len(lam))) if lam[g[0]].real < 0.0]
+    if not keep:
         raise UnstablePencil("model has no stable modes")
-    Ak = spla.block_diag(*blocks_a)
-    Bk = np.vstack(rows_b)
-    Ck = np.hstack(cols_c)
-    return make_model(None, sps.csc_matrix(Ak), Bk, Ck, model.D)
+    first, paired = [g[0] for g in keep], [g[0] for g in keep if len(g) == 2]
+    V, W = (np.hstack([M[:, first].real, M[:, paired].imag]) for M in (X, Y))
+    # balanced: the Gramian loses digits when a mode's B row far outweighs its C column
+    b, c = np.linalg.norm(W.T @ model.B, axis=1), np.linalg.norm(model.C @ V, axis=0)
+    scale = np.sqrt(np.divide(c, b, out=np.ones_like(b), where=(b > 0) & (c > 0)))
+    return project(model, V / scale, W * scale)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,9 +30,6 @@ _SIZE_LINE = {"coordinate": "rows cols nnz", "array": "rows cols"}
 #: The tokens of a coordinate entry line, and the columns numpy parses them into.
 _ENTRY = ("row index", "column index", "value")
 _ENTRY_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("v", np.float64)])
-#: str.splitlines' line breaks besides "\n" ("\r" is translated on reading).
-_ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_LINE_END = re.compile("\r\n|[\r\n" + _ODD_BREAKS + "]")
 
 
 def load_matrix_market(path) -> sps.csr_matrix:
@@ -93,10 +89,7 @@ def load_matrix_market(path) -> sps.csr_matrix:
 
     if fmt == "coordinate":
         nnz = dims[2]
-        # numpy ends a line only at "\n"; str.splitlines, which names the
-        # lines, ends them at more characters, so such a body is scanned
-        entries = (None if any(brk in body for brk in _ODD_BREAKS)
-                   else _bulk(io.StringIO(body), _ENTRY_DTYPE))
+        entries = _bulk(io.StringIO(body), _ENTRY_DTYPE)
         if entries is None or not _fits(entries, nnz, nrows, ncols):
             entries = _scan_body(path, body, ln + 1, fmt, nnz, nrows, ncols)
     else:
@@ -129,13 +122,13 @@ def load_matrix_market(path) -> sps.csr_matrix:
 
 
 def _lines(text):
-    """Yield (line number, line, offset past its end) of ``text`` as str.splitlines splits it."""
+    """Yield (line number, line, offset past its end) of ``text``; lines end at LF."""
     pos, lineno = 0, 1
     while pos < len(text):
-        brk = _LINE_END.search(text, pos)
-        stop, end = (brk.start(), brk.end()) if brk else (len(text), len(text))
-        yield lineno, text[pos:stop], end
-        pos, lineno = end, lineno + 1
+        stop = text.find("\n", pos)
+        stop = len(text) if stop < 0 else stop
+        yield lineno, text[pos:stop], stop + 1
+        pos, lineno = stop + 1, lineno + 1
 
 
 def _number(path, tok, lineno, what, kind=float):
@@ -180,7 +173,7 @@ def _scan_body(path, body: str, first: int, fmt, count, nrows=0, ncols=0):
     first bad line; returns the entries (coordinate) or values (array) when
     no line is bad.
     """
-    lines = body.splitlines()
+    lines = io.StringIO(body).readlines()
     eof = first + len(lines)
     data = ((lineno, s.split()) for lineno, raw in enumerate(lines, start=first)
             if (s := raw.strip()) and not s.startswith("%"))

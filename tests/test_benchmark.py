@@ -1,4 +1,5 @@
 import importlib
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from h2mor.benchmark import (
     run_benchmark,
     write_results,
 )
-from h2mor.errors import IoError, OrderTooLarge
+from h2mor.errors import IoError, OrderTooLarge, SingularShift
 
 from .helpers import random_stable_model, spring_chain_model
 
@@ -45,6 +46,22 @@ class TestFormatFloat:
 
 
 class TestRunBenchmark:
+    def test_failed_cell_recorded_and_run_continues(self, monkeypatch, caplog):
+        def singular(model, data0, opts):
+            raise SingularShift("A - sigma E singular at sigma = 0", sigma=0.0)
+
+        monkeypatch.setattr(sys.modules["h2mor.benchmark"], "irka", singular)
+        rows = run_benchmark(small_models(), [2], init="zero")
+        assert [(row.model, row.algorithm) for row in rows] == [
+            ("toy_a", "cirka"), ("toy_a", "irka"), ("toy_b", "cirka"), ("toy_b", "irka")]
+        for row in rows:
+            if row.algorithm == "irka":
+                assert (row.k_outer, row.n_lu_full, row.converged) == (0, 0, False)
+                assert row.rel_h2_error is None
+            else:
+                assert row.k_outer >= 1 and row.n_lu_full >= 1
+        assert caplog.text.count("A - sigma E singular at sigma = 0") == 2
+
     def test_grid_and_sorting(self, rows):
         assert len(rows) == 2 * 2 * 2   # models x orders x algorithms
         keys = [(r.model, r.r, r.algorithm) for r in rows]

@@ -1,4 +1,6 @@
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,15 @@ class TestCirka:
     def test_option_validation(self, bad):
         with pytest.raises(ValueError):
             CirkaOptions(**bad)
+
+    @pytest.mark.parametrize("bad, choices", [
+        (dict(init_strategy="I3"), "('I1', 'I2')"),
+        (dict(update_strategy="U4"), "('U1', 'U2', 'U3')"),
+    ])
+    def test_unknown_strategy_names_the_choices(self, bad, choices):
+        with pytest.raises(ValueError) as info:
+            CirkaOptions(**bad)
+        assert str(info.value).endswith(f"must be one of {choices}")
 
     def test_siso_run_and_reporting(self):
         model = random_stable_model(50, 1, 1, 501)
@@ -528,21 +539,56 @@ class TestEstimateError:
         with pytest.raises(UnstableRom):
             estimate_error(mf, make_model(None, [[1.0]], [[1.0]], [[1.0]]))
 
-    def test_stable_surrogate_goes_straight_to_the_gramian(self, monkeypatch):
-        # only an unstable error system sends the surrogate to stable_part;
-        # for an unstable rom it returns the stable surrogate itself
-        surrogate = make_model(None, np.diag([-1.0, -2.0]), np.ones((2, 1)), np.ones((1, 2)))
+    def test_unstable_surrogate_takes_one_gramian(self, monkeypatch):
+        # stable part 1/(s+1) + 1/(s+2), rom 1/(s+1.5): the error is sum c_i/(s - p_i),
+        # whose squared H2 norm is sum_ij c_i c_j / -(p_i + p_j)
+        def h2_squared(c, p):
+            return float(np.sum(np.outer(c, c) / -np.add.outer(p, p)))
+
+        c, p = np.array([1.0, 1.0, -1.0]), np.array([-1.0, -2.0, -1.5])
+        oracle = np.sqrt(h2_squared(c, p) / h2_squared(c[:2], p[:2]))
+        surrogate = make_model(None, np.diag([-1.0, -2.0, 0.5]), np.ones((3, 1)),
+                               np.ones((1, 3)))
         mf = ModelFunction(surrogate=surrogate, history=InterpolationData.zero_init(1, 1, 1),
                            columns=())
-        calls = []
-        monkeypatch.setattr(sys.modules["h2mor.cirka"], "stable_part",
-                            lambda model: calls.append(model) or stable_part(model))
+        metrics = sys.modules["h2mor.metrics"]
+        solve, calls = metrics.solve_generalized_lyapunov, []
+        monkeypatch.setattr(metrics, "solve_generalized_lyapunov",
+                            lambda *args: calls.append(args) or solve(*args))
         est, used = estimate_error(mf, make_model(None, [[-1.5]], [[1.0]], [[1.0]]))
-        assert not used and calls == []
-        assert est == h2_error(surrogate, make_model(None, [[-1.5]], [[1.0]], [[1.0]]))[1]
-        with pytest.raises(UnstableRom):
-            estimate_error(mf, make_model(None, [[1.0]], [[1.0]], [[1.0]]))
-        assert calls == [surrogate]
+        assert used and len(calls) == 1
+        assert est == pytest.approx(oracle, rel=1e-12)
+
+    def test_unstable_surrogate_estimate_keeps_its_digits(self):
+        # the surrogate (order 12, one unstable mode) and rom (r = 6) of a CIRKA
+        # run on a 60 x 60 heat-equation grid; in modal form with unit right
+        # eigenvectors, its modes' B rows outweigh their C columns by up to 4e7.
+        # The reference is ||G_s - G_r|| / ||G_s|| by adaptive quadrature of
+        # |G(jw)|^2 at relative tolerance 1e-12.
+        data = json.loads((Path(__file__).parent / "data" /
+                           "imbalanced_surrogate.json").read_text())
+        surrogate, rom = (make_model(*(np.array(data[key][m]) for m in "EABC"))
+                          for key in ("surrogate", "rom"))
+        mf = ModelFunction(surrogate=surrogate, history=InterpolationData.zero_init(1, 1, 1),
+                           columns=())
+        est, used = estimate_error(mf, rom)
+        assert used
+        assert est == pytest.approx(7.132685426641231e-06, rel=1e-4)
+
+    def test_stable_surrogate_goes_straight_to_the_gramian(self):
+        # stability is read off the surrogate's eigenvalues, so a stable Jordan
+        # block, which has no usable eigenvectors, is used as it is; an unstable
+        # error system then blames the rom
+        rom = make_model(None, [[-1.5]], [[1.0]], [[1.0]])
+        for A in (np.diag([-1.0, -2.0]), [[-1.0, 1.0], [0.0, -1.0]]):
+            surrogate = make_model(None, A, np.ones((2, 1)), np.ones((1, 2)))
+            mf = ModelFunction(surrogate=surrogate,
+                               history=InterpolationData.zero_init(1, 1, 1), columns=())
+            est, used = estimate_error(mf, rom)
+            assert not used
+            assert est == h2_error(surrogate, rom)[1]
+            with pytest.raises(UnstableRom):
+                estimate_error(mf, make_model(None, [[1.0]], [[1.0]], [[1.0]]))
 
     def test_estimate_underestimates_on_oscillatory_model(self):
         # weakly damped chain, hard at r=4: the surrogate-based estimate

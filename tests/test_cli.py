@@ -20,6 +20,7 @@ from h2mor.errors import DefectiveSpectrum
 from h2mor.mmio import load_rom_dir, save_rom_dir, write_matrix_market
 
 from .helpers import random_conjugate_data, random_stable_model
+from .test_mmio import MALFORMED_HEADERS
 
 #: Interpolation-data payloads that lack a key, nest a scalar where a pair belongs,
 #: hold no block, or mix tangent sizes.
@@ -147,6 +148,20 @@ class TestExitCodes:
         monkeypatch.setenv("H2MOR_MANIFEST_PATH", str(tmp_path))
         assert main(COMMANDS[command](tmp_path / "rom")) == 1
         assert named in assert_one_line(capsys, "error: ")
+
+    @pytest.mark.parametrize("text, error, message", MALFORMED_HEADERS)
+    def test_malformed_matrix_file_is_load_error(self, tmp_path, monkeypatch, capsys, text,
+                                                 error, message):
+        register_model(tmp_path, monkeypatch, "bad", random_stable_model(2, 1, 1, 704))
+        (tmp_path / "bad" / "A.mtx").write_text(text)
+        assert main(COMMANDS["reduce"](None)) == 1
+        assert f"A.mtx: {message}" in assert_one_line(capsys, "error: ")
+
+    def test_manifest_syntax_error_is_load_error(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "bad.json").write_text('{"name": "bad",\n "A": ,\n "B": "y"}\n')
+        monkeypatch.setenv("H2MOR_MANIFEST_PATH", str(tmp_path))
+        assert main(COMMANDS["reduce"](None)) == 1
+        assert "bad.json: line 2: " in assert_one_line(capsys, "error: ")
 
     def test_bode_on_a_pole_is_solver_failure(self, tmp_path, monkeypatch, capsys):
         # poles +-i: G(s) is evaluated at s = 1j, where sE - A is singular

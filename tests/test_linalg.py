@@ -620,6 +620,15 @@ class TestStablePart:
         assert part.n == 1
         assert np.allclose(eval_transfer(part, 0.0), [[1.0]])   # 1/(s+1) at 0
 
+    def test_uncontrollable_and_unobservable_modes_kept(self):
+        # modes -2 (B row 0) and -3 (C column 0) add nothing to G but stay in the model
+        model = make_model(None, np.diag([-1.0, -2.0, -3.0, 1.0]), [[1.0], [0.0], [1.0], [1.0]],
+                           [[1.0, 1.0, 0.0, 1.0]])
+        part = stable_part(model)
+        assert part.n == 3
+        for s in (0.0, 2j, 1.0 - 1j):
+            assert eval_transfer(part, s)[0, 0] == pytest.approx(1.0 / (s + 1.0), rel=1e-14)
+
     def test_partial_fraction_oracle(self):
         rng = np.random.default_rng(62)
         poles = np.array([-1.0, -2.5, 0.4, -0.5 + 2j, -0.5 - 2j, 1.2, -3.0, -4.0])
@@ -664,6 +673,22 @@ class TestStablePart:
         model = make_model(None, [[1.0]], [[1.0]], [[1.0]])
         with pytest.raises(UnstablePencil):
             stable_part(model)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_repeated_eigenvalue_truncated_exactly(self, seed):
+        # T diag(-1, -1, -2, 0.5) T^-1: the double eigenvalue's left and right
+        # eigenvectors need not pair up, so residues read off them are wrong
+        rng = np.random.default_rng(seed)
+        T = rng.standard_normal((4, 4))
+        d = np.array([-1.0, -1.0, -2.0, 0.5])
+        B, C = rng.standard_normal((4, 1)), rng.standard_normal((1, 4))
+        model = make_model(None, T @ np.diag(d) @ np.linalg.inv(T), B, C)
+        s = 0.5 + 1j
+        b, c = np.linalg.solve(T, B), C @ T
+        ref = (c[:, :3] / (s - d[:3])) @ b[:3]
+        part = stable_part(model)
+        assert part.n == 3
+        assert np.linalg.norm(eval_transfer(part, s) - ref) < 1e-10 * np.linalg.norm(ref)
 
 
 class TestPencilEigenvalues:

@@ -21,6 +21,28 @@ from h2mor.mmio import (
 
 from .helpers import random_stable_model
 
+_COORDINATE = "%%MatrixMarket matrix coordinate real general\n"
+
+#: Files the reader refuses before their body, the error, and its message after the path.
+MALFORMED_HEADERS = [
+    pytest.param("", ParseError, "line 1: empty file", id="empty"),
+    pytest.param("%%MatrixMarket vector coordinate real general\n1 1 1\n1 1 1.0\n",
+                 ParseError, "line 1: not a MatrixMarket matrix header", id="not-matrix"),
+    pytest.param("%%MatrixMarket matrix sparse real general\n1 1 1\n1 1 1.0\n",
+                 ParseError, "line 1: unknown format 'sparse'", id="format-sparse"),
+    pytest.param("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 1.0\n",
+                 UnsupportedField, "symmetry 'skew-symmetric' not supported",
+                 id="skew-symmetric"),
+    pytest.param("%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1.0\n",
+                 UnsupportedField, "symmetry 'hermitian' not supported", id="hermitian"),
+    pytest.param(f"{_COORDINATE}% only\n\n% comments\n", ParseError,
+                 "line 5: missing size line", id="no-size-line"),
+    pytest.param(f"{_COORDINATE}2 2\n1 1 1.0\n", ParseError,
+                 "line 2: coordinate size line needs 'rows cols nnz'", id="coordinate-size"),
+    pytest.param("%%MatrixMarket matrix array real general\n2 1 2\n1.0\n2.0\n", ParseError,
+                 "line 2: array size line needs 'rows cols'", id="array-size"),
+]
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -192,6 +214,13 @@ class TestLoadMatrixMarket:
         with pytest.raises(IoError):
             load_matrix_market(tmp_path / "nope.mtx")
 
+    @pytest.mark.parametrize("text, error, message", MALFORMED_HEADERS)
+    def test_malformed_header_names_file_and_line(self, tmp_path, text, error, message):
+        path = write(tmp_path, "h.mtx", text)
+        with pytest.raises(error) as info:
+            load_matrix_market(path)
+        assert str(info.value) == f"{path}: {message}"
+
 
 def parse_error(path):
     """The message of the ParseError reading ``path`` raises."""
@@ -223,14 +252,11 @@ class TestReaderGrammar:
         assert np.array_equal(load_matrix_market(path).toarray(), expected)
 
     @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x85", "\u2028"])
-    def test_lines_end_where_str_splitlines_ends_them(self, tmp_path, brk):
-        head = "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
-        path = write(tmp_path, "v.mtx", f"{head}1 1 1.0{brk}2 2 4.0\n")
-        assert np.array_equal(load_matrix_market(path).toarray(), [[1.0, 0.0], [0.0, 4.0]])
-        path = write(tmp_path, "v.mtx", f"{head}1 1{brk}1.0\n2 2 4.0\n")
+    def test_other_line_separators_refused(self, tmp_path, brk):
+        # lines end at "\n" (CRLF and CR are translated on reading) and nowhere else
+        path = write(tmp_path, "v.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                                        f"2 2 2\n1 1 1.0{brk}2 2 4.0\n")
         assert parse_error(path) == f"{path}: line 3: expected 'i j value'"
-        path = write(tmp_path, "v.mtx", f"{head.replace('2 2 2', f'% c{brk}2 2 2')}1 1 1.0\n2 2\n")
-        assert parse_error(path) == f"{path}: line 5: expected 'i j value'"
 
     @pytest.mark.parametrize("line", ["2 1", "2 1 3.0 4.0", "2 1 3.0 % trailing"])
     def test_coordinate_line_needs_three_tokens(self, tmp_path, line):
@@ -394,6 +420,12 @@ class TestManifests:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"name": "bad", "A": "x", "B": "y", "C": "z"}))
         with pytest.raises(ParseError):
+            load_manifest(path)
+
+    def test_json_syntax_error_names_line(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"name": "bad",\n "A": ,\n "B": "y"}\n')
+        with pytest.raises(ParseError, match=f"^{path}: line 2: Expecting value$"):
             load_manifest(path)
 
     def test_find_manifest_bundled_and_unknown(self):
