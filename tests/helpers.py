@@ -46,6 +46,21 @@ def random_stable_model(n, m, p, seed, mass=True, complex_frac=0.3, max_ratio=0.
     return make_model(sps.csc_matrix(E), sps.csc_matrix(A), B, C)
 
 
+def grid_model(N, convection):
+    """Five-point diffusion on an N x N grid (symmetric), plus central-difference
+    convection when asked (same pattern, unsymmetric values); E = I."""
+    h = 1.0 / (N + 1)
+    one = np.ones(N)
+    lap = sps.diags([one[1:], -2.0 * one, one[1:]], [-1, 0, 1]) / h**2
+    dif = sps.diags([-one[1:], one[1:]], [-1, 1]) / (2.0 * h)
+    I = sps.identity(N)
+    A = 0.01 * (sps.kron(lap, I) + sps.kron(I, lap))
+    if convection:
+        A = A - 5.0 * sps.kron(dif, I) - 2.0 * sps.kron(I, dif)
+    B = np.random.default_rng(N).standard_normal((N * N, 2))
+    return make_model(None, A.tocsc(), B, B.T)
+
+
 def random_conjugate_data(r, m, p, seed, scale=1.0):
     """Conjugate-closed simple triplets: r/2 complex pairs (plus a real one if odd)."""
     rng = np.random.default_rng(seed)

@@ -3,10 +3,11 @@
 A refactor of the algorithms must leave every iterate and every
 factorization unchanged.  ``tests/data/invariants.json`` records, for a few
 of the order-50 acceptance models under the library defaults (U.1 with a
-tight outer tolerance), the shift history of every run, its LU and
-iteration counters and its convergence flag, plus the spectrum
-initialization for r = 2..6.  This test recomputes them and compares shifts
-to 1e-10 and counts exactly.
+tight outer tolerance) and for two grid models above ``DENSE_THRESHOLD``,
+the shift history of every run, its LU and iteration counters and its
+convergence flag, plus the spectrum initialization for r = 2..6 of the
+acceptance models.  This test recomputes them and compares shifts to 1e-10
+and counts exactly.
 
 Regenerate the fixture only when a change is meant to alter iterates, and
 say why in CHANGES.md:
@@ -26,13 +27,16 @@ import pytest
 from h2mor import CirkaOptions, InterpolationData, IrkaOptions, cirka, irka
 from h2mor.irka import initial_data_from_spectrum
 
-from .helpers import random_conjugate_data, random_stable_model
+from .helpers import grid_model, random_conjugate_data, random_stable_model
 
 FIXTURE = Path(__file__).parent / "data" / "invariants.json"
 TOL = 1e-10
 
 # SISO and MIMO acceptance models; 504 and 510 fall back to direct IRKA.
 MODELS = {500: (1, 1), 504: (1, 1), 508: (2, 2), 510: (2, 2), 515: (2, 1), 518: (1, 2)}
+# Grid models of order 2025 (name: convection), factorized with
+# LARGE_SPLU_OPTIONS; both have m = p = 2.
+GRIDS = {"heat45": False, "cd45": True}
 # CIRKA (init strategy, update strategy, outer tolerance); the tight outer
 # tolerance lets U.1 meet repeated triplets and extend chains.
 ALGORITHMS = {
@@ -43,8 +47,8 @@ ALGORITHMS = {
     "cirka-I1-U2": ("I1", "U2", 1e-3),
 }
 SEEDS = {
-    "irka": tuple(MODELS),
-    "cirka-I2-U2": tuple(MODELS),
+    "irka": tuple(MODELS) + tuple(GRIDS),
+    "cirka-I2-U2": tuple(MODELS) + tuple(GRIDS),
     "cirka-I2-U1": (500,),
     "cirka-I2-U3": (500, 515, 518),
     "cirka-I1-U2": (500, 508, 518),
@@ -60,19 +64,23 @@ def _flat(values) -> list:
     return [float(f"{x:.13g}") for x in np.column_stack([z.real, z.imag]).ravel()]
 
 
-def run_case(algo: str, init: str, seed: int) -> dict:
+def run_case(algo: str, init: str, name: str) -> dict:
     """Counters, flag and shift history of one run.
 
-    IRKA records every iterate; CIRKA records its outer sequence, the
-    starting data followed by the optimal data of each inner run (the
-    fallback IRKA run included).
+    ``name`` is an acceptance model's seed or a key of ``GRIDS``.  IRKA
+    records every iterate; CIRKA records its outer sequence, the starting
+    data followed by the optimal data of each inner run (the fallback IRKA
+    run included).
     """
-    m, p = MODELS[seed]
-    model = random_stable_model(50, m, p, seed)
-    if init == "zero":
-        data0 = InterpolationData.zero_init(4, m, p)
+    if name in GRIDS:
+        model, data_seed = grid_model(45, GRIDS[name]), 3045
     else:
-        data0 = random_conjugate_data(4, m, p, 3000 + seed)
+        m, p = MODELS[int(name)]
+        model, data_seed = random_stable_model(50, m, p, int(name)), 3000 + int(name)
+    if init == "zero":
+        data0 = InterpolationData.zero_init(4, model.m, model.p)
+    else:
+        data0 = random_conjugate_data(4, model.m, model.p, data_seed)
     if ALGORITHMS[algo] is None:
         res = irka(model, data0, IrkaOptions())
         history = res.shift_history
@@ -107,7 +115,7 @@ def compute(key: str) -> dict:
     kind, *rest = key.split("/")
     if kind == "spectrum":
         return spectrum_case(int(rest[0]))
-    return run_case(kind, rest[0], int(rest[1]))
+    return run_case(kind, *rest)
 
 
 KEYS = ([f"{algo}/{init}/{seed}" for algo in ALGORITHMS for init in INITS

@@ -39,7 +39,7 @@ from h2mor.linalg import (
 )
 from h2mor.metrics import error_system
 
-from .helpers import random_conjugate_data, random_stable_model, spring_chain_model
+from .helpers import grid_model, random_conjugate_data, random_stable_model, spring_chain_model
 
 
 class TestShiftedSolver:
@@ -103,21 +103,6 @@ class TestShiftedSolver:
         solver.drop_factorizations()
         solver.solve(1.0, np.ones(20))
         assert solver.lu_count == 2
-
-
-def grid_model(N, convection):
-    """Five-point diffusion on an N x N grid (symmetric), plus central-difference
-    convection when asked (same pattern, unsymmetric values); E = I."""
-    h = 1.0 / (N + 1)
-    one = np.ones(N)
-    lap = sps.diags([one[1:], -2.0 * one, one[1:]], [-1, 0, 1]) / h**2
-    dif = sps.diags([-one[1:], one[1:]], [-1, 1]) / (2.0 * h)
-    I = sps.identity(N)
-    A = 0.01 * (sps.kron(lap, I) + sps.kron(I, lap))
-    if convection:
-        A = A - 5.0 * sps.kron(dif, I) - 2.0 * sps.kron(I, dif)
-    B = np.random.default_rng(N).standard_normal((N * N, 2))
-    return make_model(None, A.tocsc(), B, B.T)
 
 
 SOLVER_MODELS = {
