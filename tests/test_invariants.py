@@ -9,6 +9,10 @@ convergence flag, plus the spectrum initialization for r = 2..6 of the
 acceptance models.  This test recomputes them and compares shifts to 1e-10
 and counts exactly.
 
+To list the cases a change moves, one line each, without writing:
+
+    PYTHONPATH=src python -m tests.test_invariants --diff
+
 Regenerate the fixture only when a change is meant to alter iterates, and
 say why in CHANGES.md:
 
@@ -191,20 +195,21 @@ def test_change_report_when_history_shortens():
     assert _change("irka/zero/0", old, old) is None
 
 
-def write_fixture() -> None:
-    """Recompute every case, print one line per case that moved, write the fixture."""
+def update_fixture(write: bool) -> None:
+    """Recompute every case, print one line per case that moved, and write if asked."""
     old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     payload = {key: compute(key) for key in KEYS}
     for key, case in payload.items():
         line = _change(key, old[key], case) if key in old else f"{key}: new case"
         if line:
             print(line)
-    FIXTURE.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
-    print(f"wrote {len(payload)} cases to {FIXTURE}")
+    if write:
+        FIXTURE.parent.mkdir(parents=True, exist_ok=True)
+        FIXTURE.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+        print(f"wrote {len(payload)} cases to {FIXTURE}")
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python -m tests.test_invariants --write")
-    write_fixture()
+    if sys.argv[1:] not in (["--write"], ["--diff"]):
+        sys.exit("usage: python -m tests.test_invariants --write | --diff")
+    update_fixture(write=sys.argv[1] == "--write")
