@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from time import perf_counter
 
 import numpy as np
@@ -130,8 +131,9 @@ def _build(model: StateSpaceModel, entries: list, solver: ShiftedSolver) -> Mode
     """Make the model function of ``(block, columns or None)`` entries.
 
     The order cap n // 2 is checked before any solve.  Blocks without columns
-    get theirs from :func:`primitive_basis`, one block at a time at its final
-    chain length; then all columns are projected.
+    get theirs from :func:`primitive_basis` at their final chain length, one
+    call per run of consecutive such blocks so that a conjugate partner costs
+    no solve; then all columns are projected.
     """
     # above half the model order, CIRKA costs more wall time than direct IRKA
     cap = model.n // 2
@@ -139,12 +141,14 @@ def _build(model: StateSpaceModel, entries: list, solver: ShiftedSolver) -> Mode
     if total > cap:
         raise ModelOrderExceeded(f"model-function order {total} exceeds the cap {cap}")
     columns = []
-    for b, cols in entries:
-        if cols is None:
-            sub = InterpolationData((b,))
-            cols = (primitive_basis(model, sub, "input", solver),
-                    primitive_basis(model, sub, "output", solver))
-        columns.append(cols)
+    for new, run in groupby(entries, key=lambda entry: entry[1] is None):
+        if not new:
+            columns.extend(cols for _, cols in run)
+            continue
+        sub = InterpolationData(tuple(b for b, _ in run))
+        V, W = (primitive_basis(model, sub, side, solver) for side in ("input", "output"))
+        columns.extend((V[:, i:i + b.length], W[:, i:i + b.length])
+                       for i, b in zip(sub.column_offsets, sub.blocks))
     mf = ModelFunction(surrogate=None, history=InterpolationData(tuple(b for b, _ in entries)),
                        columns=tuple(columns))
     mf.surrogate = make_model(*project_real(model, mf.Vprim, mf.Wprim, mf.history), model.D)

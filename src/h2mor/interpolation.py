@@ -292,17 +292,23 @@ def primitive_basis(model: StateSpaceModel, data: InterpolationData, side: str,
     Input side: (A - sigma_i E)^{-1} B r_i; output side the transposed dual
     with C^T l_i.  A chain of length q continues with v_{k+1} =
     (A - sigma E)^{-1} E v_k (transposed analogue on the output side), which
-    realizes the Sylvester equation with the Jordan block in S.  ``solver``
-    is a :class:`ShiftedSolver` or a :class:`~h2mor.linalg.ModalSolver` of
-    ``model``.
+    realizes the Sylvester equation with the Jordan block in S.  A block
+    that directly follows its exact conjugate takes the conjugated columns
+    and costs no solve, only a counted request.  ``solver`` is a
+    :class:`ShiftedSolver` or a :class:`~h2mor.linalg.ModalSolver` of ``model``.
     """
     if side not in ("input", "output"):
         raise ValueError("side must be 'input' or 'output'")
     transposed = side == "output"
-    cols = []
+    cols, prev = [], None
     for b in data.blocks:
-        rhs = model.C.T @ b.left if transposed else model.B @ b.right
-        cols.extend(solver.chain(b.sigma, rhs, b.length, transposed))
+        if prev is not None and b.is_conjugate_of(prev):
+            solver.count_request(b.sigma, transposed)
+            cols.extend([c.conj() for c in cols[-b.length:]])
+        else:
+            rhs = model.C.T @ b.left if transposed else model.B @ b.right
+            cols.extend(solver.chain(b.sigma, rhs, b.length, transposed))
+        prev = b
     return np.column_stack(cols)
 
 
@@ -440,11 +446,12 @@ def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
     """Evaluate the three tangential conditions at every block's node.
 
     For chains only the order-0/1 conditions at the chain shift are checked
-    here; higher moments have their own finite-difference tests.  A
-    conjugate pair of nodes shares one full-order LU, and ``full_lu`` counts
-    the LUs the check adds to ``solver``.  Without a solver the check makes
-    its own and holds one LU at a time; a given solver (shared by several
-    checks of ``full``) keeps its factorizations for the caller to drop.
+    here; higher moments have their own finite-difference tests.  The second
+    node of a conjugate pair takes the first one's residuals, at no solve
+    and no LU, and ``full_lu`` counts the LUs the check adds to ``solver``.
+    Without a solver the check makes its own and holds one LU at a time; a
+    given solver (shared by several checks of ``full``) keeps its
+    factorizations for the caller to drop.
     """
     own = solver is None
     if own:
@@ -452,10 +459,11 @@ def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
     lu0 = solver.lu_count
     entries = [None] * len(data.blocks)
     for group in data.conjugate_pairing():
+        b = data.blocks[group[0]]
+        rho = triplet_residuals(full, rom, b.sigma, b.right, b.left, solver)
         for i in group:
-            b = data.blocks[i]
-            rho = triplet_residuals(full, rom, b.sigma, b.right, b.left, solver)
-            entries[i] = TripletResidual(b.sigma, *rho)
+            entries[i] = TripletResidual(data.blocks[i].sigma, *rho)
+            solver.count_request(data.blocks[i].sigma)
         if own:
             solver.drop_factorizations()
     return InterpolationReport(tuple(entries), full_lu=solver.lu_count - lu0)

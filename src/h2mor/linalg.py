@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import logging
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +50,13 @@ _LWORK = {}
 #: (convection-diffusion up to n = 1936).
 EIG_COND_LIMIT = 1e4
 
-#: Column ordering of a :class:`ShiftedSolver`'s first factorization; later
-#: shifts factorize the pencil permuted into it with ``NATURAL``.
+#: Column ordering of a model's first factorization; every later one, in any
+#: solver of the model, factorizes the pencil permuted into it with ``NATURAL``.
 SHIFTED_ORDERING = "MMD_AT_PLUS_A"
+
+#: Per model (dropped with it): the column order of its first factorization and
+#: the joint pattern of A and E permuted into it, ``(columns, (indptr, indices, a, e))``.
+_ORDERINGS = weakref.WeakKeyDictionary()
 
 #: SuperLU settings for every factorization of a model above
 #: ``DENSE_THRESHOLD``: one-column panels and no relaxed supernodes.  On the
@@ -101,13 +106,13 @@ class ShiftedSolver:
     Every pencil A - sigma E lives on the joint sparsity pattern of A and E,
     so one sparse matrix on that pattern serves all shifts: each shift
     rewrites its values in one array operation.  One fill-reducing column
-    ordering serves all shifts too.  The first factorization chooses it
-    (minimum degree on the pattern of M^T + M, which suits the structurally
-    symmetric pencils of discretized models), and the columns of A and E are
-    then put in that order, once, so every later shift factorizes the
-    permuted pencil without reordering.  ``solve`` maps the permutation
-    back.  The ordering outlives :meth:`drop_factorizations`.  Models above
-    ``DENSE_THRESHOLD`` are factorized with :data:`LARGE_SPLU_OPTIONS`.
+    ordering serves all shifts and all solvers of a model.  The model's first
+    factorization chooses it (minimum degree on the pattern of M^T + M,
+    which suits the structurally symmetric pencils of discretized models),
+    and the columns of A and E are then put in that order, once per model,
+    so every later factorization takes the permuted pencil without
+    reordering.  ``solve`` maps the permutation back, into C order on every
+    path.  Models above ``DENSE_THRESHOLD`` use :data:`LARGE_SPLU_OPTIONS`.
     """
 
     def __init__(self, model: StateSpaceModel):
@@ -118,7 +123,7 @@ class ShiftedSolver:
         self._dropped = {}        # released once the next factorization exists
         self._requested = set()
         self._pencil = None       # (M, a, e): M holds a - sigma e, see _pencil_matrix
-        self._columns = None      # column order chosen by the first factorization
+        self._columns = None      # column order chosen by the model's first factorization
 
     def holds(self, sigma: complex) -> bool:
         """Whether a factorization that serves ``sigma`` is cached."""
@@ -136,9 +141,7 @@ class ShiftedSolver:
             self._cache[key] = entry
             self._dropped = {}
             self.lu_count += 1
-        if (sigma, transposed) not in self._requested:
-            self._requested.add((sigma, transposed))
-            self.lu_count_norecycle += 1
+        self.count_request(sigma, transposed)
 
         rhs = np.asarray(rhs, dtype=complex)
         single = rhs.ndim == 1
@@ -155,17 +158,26 @@ class ShiftedSolver:
             X[columns] = lu.solve(R)                 # M P y = b, x = P y
         if flip:
             X = X.conj()
-        return X[:, 0] if single else X
+        return X[:, 0] if single else np.ascontiguousarray(X)
+
+    def count_request(self, sigma: complex, transposed: bool = False) -> None:
+        """Count a (shift, mode) request in ``lu_count_norecycle``, as :meth:`solve` does."""
+        request = (complex(sigma), transposed)
+        self.lu_count_norecycle += request not in self._requested
+        self._requested.add(request)
 
     def _factorize(self, sigma):
         """LU of A - sigma E, and the column order it was taken in (None: the model's own)."""
+        if self._pencil is None and self.model in _ORDERINGS:
+            self._columns, pattern = _ORDERINGS[self.model]
+            self._pencil = _pencil_matrix(*pattern)
         if self._columns is None:
             self._pencil = _pencil_matrix(*_joint_pattern(self.model.A, self.model.E))
             lu = self._splu(sigma, SHIFTED_ORDERING)
-            self._columns = np.argsort(lu.perm_c)
+            columns = np.argsort(lu.perm_c)
             M, a, e = self._pencil
-            self._pencil = _pencil_matrix(*_permute_columns(M.indptr, M.indices, a, e,
-                                                            self._columns))
+            _ORDERINGS[self.model] = columns, _permute_columns(M.indptr, M.indices, a, e, columns)
+            self._pencil = None       # the next factorization takes the permuted pencil
             return lu, None
         return self._splu(sigma, "NATURAL"), self._columns
 
@@ -248,6 +260,9 @@ class ModalSolver:
             z = z / d
             cols.append(back @ z)
         return cols
+
+    def count_request(self, sigma: complex, transposed: bool = False) -> None:
+        """Nothing is factorized, so nothing is counted."""
 
     def drop_factorizations(self) -> None:
         """Nothing to release: the eigendecomposition serves every shift."""

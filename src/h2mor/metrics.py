@@ -36,10 +36,11 @@ def h2_norm_quadrature(model: StateSpaceModel) -> float:
     per decade from w_lo to w_hi, exploiting conjugate symmetry for the
     negative axis.  Up to ``DENSE_THRESHOLD`` the band follows the spectrum
     and so the model's time scale (w_lo = min|lambda| / 100, w_hi =
-    100 max|lambda|, w_max = 1e4 w_hi); above, it is [1e-4, 1e6].  Documented
-    accuracy about 1e-4 relative; intended as an independent cross-check of
-    :func:`h2_norm` and for large sparse models where the dense Gramian path
-    is unavailable.
+    100 max|lambda|, w_max = 1e4 w_hi); above, it is [1e-4, 1e6].  Each panel
+    is integrated to a relative tolerance alone, so scaling C scales the
+    result and nothing else.  Documented accuracy about 1e-4 relative;
+    intended as an independent cross-check of :func:`h2_norm` and for large
+    sparse models where the dense Gramian path is unavailable.
     """
     mags = np.abs(pencil_eigenvalues(model)) if model.n <= DENSE_THRESHOLD else np.empty(0)
     mags = mags[mags > 0.0]         # a zero eigenvalue sets no time scale
@@ -56,7 +57,7 @@ def h2_norm_quadrature(model: StateSpaceModel) -> float:
 
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = scipy.integrate.quad(integrand, a, b, epsabs=1e-12, epsrel=1e-9, limit=200)
+        val, _ = scipy.integrate.quad(integrand, a, b, epsabs=0.0, epsrel=1e-9, limit=200)
         total += val
     return float(np.sqrt(total / np.pi))
 

@@ -35,6 +35,16 @@ from h2mor.linalg import ModalSolver, ShiftedSolver, generalized_eig, stable_par
 from .helpers import random_conjugate_data, random_stable_model
 
 
+class CountingSolver(ShiftedSolver):
+    """A ShiftedSolver that counts its solves."""
+
+    solves = 0
+
+    def solve(self, *args, **kwargs):
+        self.solves += 1
+        return super().solve(*args, **kwargs)
+
+
 def tight_opts(**kw):
     base = dict(inner=IrkaOptions(tol=1e-10, max_iter=250), outer_tol=1e-8,
                 outer_max_iter=20)
@@ -105,13 +115,6 @@ class TestInitModelFunction:
     def test_I1_zero_chain_built_once(self, r, n_model):
         # the zero chain is solved once at its final length: one shifted solve
         # per column and side, at a single factorization
-        class CountingSolver(ShiftedSolver):
-            solves = 0
-
-            def solve(self, *args, **kwargs):
-                self.solves += 1
-                return super().solve(*args, **kwargs)
-
         model = random_stable_model(40, 1, 1, 208)
         solver = CountingSolver(model)
         mf = init_model_function(model, InterpolationData.zero_init(r, 1, 1),
@@ -195,6 +198,22 @@ class TestUpdateModelFunction:
         new_data = random_conjugate_data(4, 2, 2, 2026)
         with pytest.raises(ModelOrderExceeded):
             update_model_function(model, mf, new_data, CirkaOptions(update_strategy="U1"))
+
+    def test_conjugate_partners_cost_no_solve(self):
+        # the new blocks go to primitive_basis together, so each pair's second
+        # block takes the first one's columns, conjugated, on both sides
+        model, data0, mf = self._setup(226)
+        new_data = random_conjugate_data(4, 2, 2, 2032)
+        solver = CountingSolver(model)
+        updated, added = update_model_function(model, mf, new_data, CirkaOptions(), solver)
+        assert added == 4
+        assert solver.solves == 2 * 2                 # one per pair and side
+        assert solver.lu_count == 2
+        assert solver.lu_count_norecycle == 2 * 4     # one per shift and side
+        old = len(mf.history.blocks)
+        for i in (old, old + 2):
+            for first, partner in zip(updated.columns[i], updated.columns[i + 1]):
+                assert np.array_equal(partner, first.conj())
 
     def test_sylvester_invariant_after_update(self):
         from h2mor import sylvester_residual

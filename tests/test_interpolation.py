@@ -159,6 +159,25 @@ class TestPrimitiveBasis:
         basis = primitive_basis(model, data, side, ShiftedSolver(model))
         assert sylvester_residual(model, basis, data, side) < 1e-10
 
+    @pytest.mark.parametrize("side", ["input", "output"])
+    def test_conjugate_partner_costs_no_solve(self, side):
+        # a real block, then a chain of length 2 and its conjugate: the
+        # partner's columns are the chain's conjugates, its request still counts
+        model = random_stable_model(20, 2, 2, 17)
+        chain = InterpolationBlock(0.4 + 1.1j, [1.0, 2.0 - 1j], [0.5j, 1.0], length=2)
+        data = InterpolationData((InterpolationBlock(0.8, np.ones(2), [1.0, -1.0]),
+                                  chain, chain.conjugate()))
+        solver = ShiftedSolver(model)
+        shifts = []
+        solve = solver.solve
+        solver.solve = lambda sigma, *a, **k: shifts.append(sigma) or solve(sigma, *a, **k)
+        basis = primitive_basis(model, data, side, solver)
+        assert shifts == [0.8, chain.sigma, chain.sigma]      # none at the partner's shift
+        assert np.array_equal(basis[:, 3:], basis[:, 1:3].conj())
+        assert solver.lu_count == 2
+        assert solver.lu_count_norecycle == 3
+        assert sylvester_residual(model, basis, data, side) < 1e-10
+
     def test_residual_sensitivity(self):
         model = random_stable_model(20, 1, 1, 13)
         data = random_conjugate_data(4, 1, 1, 14)

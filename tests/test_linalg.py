@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as spla
@@ -96,6 +99,20 @@ class TestShiftedSolver:
         with pytest.raises(SingularShift):
             solver.solve(-1.0, np.ones(2))   # sigma equals an eigenvalue of (A, E)
 
+    def test_solve_layout_does_not_depend_on_the_first_factorization(self):
+        # C @ X rounds by X's memory layout: a solver's first shift and its
+        # later shifts must return the same layout
+        model = random_stable_model(50, 2, 1, 515)
+        results = []
+        for first in (None, 2.5):
+            solver = ShiftedSolver(make_model(model.E, model.A, model.B, model.C))
+            if first is not None:
+                solver.solve(first, model.B[:, 0])
+            X = solver.solve(0.7 + 1.3j, model.B)
+            assert X.flags.c_contiguous
+            results.append((X.tobytes(), (model.C @ X).tobytes()))
+        assert results[0] == results[1]
+
     def test_drop_keeps_counters(self):
         model = random_stable_model(20, 1, 1, 26)
         solver = ShiftedSolver(model)
@@ -183,6 +200,27 @@ class TestShiftedSolverOrdering:
         assert calls[0]["permc_spec"] != "NATURAL"
         assert [k["permc_spec"] for k in calls[1:]] == ["NATURAL"] * 3
         assert all(k.keys() == {"permc_spec"} for k in calls)   # SuperLU's defaults
+
+    @pytest.mark.parametrize("name", SOLVER_MODELS)
+    def test_later_solvers_of_a_model_reuse_its_ordering(self, monkeypatch, name):
+        model = SOLVER_MODELS[name]()
+        calls = []
+        real_splu = linalg.splu
+        monkeypatch.setattr(linalg, "splu", lambda M, *a, **k:
+                            calls.append(k["permc_spec"]) or real_splu(M, *a, **k))
+        rhs = np.random.default_rng(9).standard_normal((model.n, 2)) * (1 + 0.5j)
+        shifts = (0.5, 1 + 2j, 0.0)
+        solutions = []
+        for order in (shifts, shifts[::-1]):
+            solver = ShiftedSolver(model)
+            solutions.append({sigma: solver.solve(sigma, rhs).tobytes() for sigma in order})
+        assert calls == [linalg.SHIFTED_ORDERING] + ["NATURAL"] * 5
+        assert solutions[0] == solutions[1]
+        # the stored ordering does not keep the model alive
+        ref = weakref.ref(model)
+        del model, solver
+        gc.collect()
+        assert ref() is None
 
     @pytest.mark.parametrize("name", SOLVER_MODELS)
     def test_joint_pattern_holds_the_pencil_exactly(self, name):
@@ -274,17 +312,23 @@ class TestShiftedSolverLargeModels:
                              ids=["order-above-threshold", "order-at-threshold"])
     def test_settings_apply_above_the_threshold_only(self, monkeypatch, model,
                                                      threshold_offset, large):
+        # a copy of the class's model, whose ordering earlier tests have chosen:
+        # its first solver chooses one, and a second solver reuses it
+        model = make_model(model.E, model.A, model.B, model.C)
         calls = []
         real_splu = linalg.splu
         monkeypatch.setattr(linalg, "splu",
                             lambda M, *a, **k: calls.append(k) or real_splu(M, *a, **k))
         monkeypatch.setattr(linalg, "DENSE_THRESHOLD", model.n + threshold_offset)
-        solver = ShiftedSolver(model)
-        for sigma in (0.5, 1 + 2j, 2.0):
-            solver.solve(sigma, np.ones(model.n))
+        solutions = []
+        for _ in range(2):
+            solver = ShiftedSolver(model)
+            solutions.append([solver.solve(sigma, np.ones(model.n)).tobytes()
+                              for sigma in (0.5, 1 + 2j, 2.0)])
         options = linalg.LARGE_SPLU_OPTIONS if large else {}
         assert calls == [dict(permc_spec="MMD_AT_PLUS_A", **options)] + \
-            [dict(permc_spec="NATURAL", **options)] * 2
+            [dict(permc_spec="NATURAL", **options)] * 5
+        assert solutions[0] == solutions[1]
 
 
 class TestCostCounters:

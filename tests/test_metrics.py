@@ -35,6 +35,13 @@ class TestH2Norm:
         lyap = h2_norm(model)
         assert abs(lyap - h2_norm_quadrature(model)) < 1e-4 * lyap
 
+    @pytest.mark.parametrize("k", [1.0, 1e-6, 1e-8])
+    def test_quadrature_tolerance_is_relative(self, k):
+        # C -> kC scales the norm by k; an absolute tolerance would swamp a small one
+        model = make_model(None, np.diag([-1.0, -30.0]), [[1.0], [1.0]], [[k, 3.0 * k]])
+        lyap = h2_norm(model)
+        assert abs(h2_norm_quadrature(model) - lyap) < 1e-6 * lyap
+
     def test_homogeneity_in_C(self):
         model = random_stable_model(8, 1, 1, 301)
         scaled = make_model(model.E, model.A, model.B, 3.5 * model.C, model.D)

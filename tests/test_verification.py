@@ -153,6 +153,31 @@ def test_interpolation_check_shares_lu_across_conjugate_nodes(monkeypatch):
     assert calls == [model.n] * len(nodes)
 
 
+def test_conjugate_node_reuses_its_partners_residuals(irka_roms, monkeypatch):
+    """The second node of a pair costs no solve and no dense LU of the reduced model."""
+    dense_lus = []
+    real_dense = h2mor.interpolation._dense_shifted_solve
+    monkeypatch.setattr(h2mor.interpolation, "_dense_shifted_solve",
+                        lambda rom, s: dense_lus.append(s) or real_dense(rom, s))
+    pairs_seen = 0
+    for _, model, res in irka_roms:
+        dense_lus.clear()
+        report = verify_h2_optimality(model, res.rom)
+        entries, i = report.entries, 0
+        while i < len(entries):
+            first = entries[i]
+            if first.sigma.imag:
+                partner = entries[i + 1]
+                assert partner.sigma == first.sigma.conjugate()
+                assert (partner.rho_right, partner.rho_left, partner.rho_hermite) == \
+                    (first.rho_right, first.rho_left, first.rho_hermite)
+                pairs_seen += 1
+            i += 2 if first.sigma.imag else 1
+        groups = sum(e.sigma.imag >= 0 for e in entries)
+        assert report.full_lu == len(dense_lus) == groups
+    assert pairs_seen > 0
+
+
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_node_on_a_reduced_pole_is_a_singular_shift(scalar_lag):
     full = random_stable_model(20, 1, 1, 512)
