@@ -146,7 +146,7 @@ def _build(model: StateSpaceModel, entries: list, solver: ShiftedSolver) -> Mode
             columns.extend(cols for _, cols in run)
             continue
         sub = InterpolationData(tuple(b for b, _ in run))
-        V, W = (primitive_basis(model, sub, side, solver) for side in ("input", "output"))
+        V, W = primitive_basis(model, sub, solver)
         columns.extend((V[:, i:i + b.length], W[:, i:i + b.length])
                        for i, b in zip(sub.column_offsets, sub.blocks))
     mf = ModelFunction(surrogate=None, history=InterpolationData(tuple(b for b, _ in entries)),
@@ -324,7 +324,7 @@ def verify_realization_equivalence(full_model: StateSpaceModel,
     points on the imaginary axis plus 5 random complex points drawn with
     seed 0), not by matrices.  ``full_lu`` counts the factorizations the
     direct projection adds to ``solver`` (made when None), the check's own
-    cost; a given solver keeps them for the caller to drop.
+    cost; a solver made with ``keep_factorizations`` keeps them.
     """
     if solver is None:
         solver = ShiftedSolver(full_model)
@@ -390,7 +390,8 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
     ``optimality_report`` None.
     """
     opts = opts or CirkaOptions()
-    solver = ShiftedSolver(model)
+    # U.1 extends chains at old shifts, so its builds reuse earlier LUs
+    solver = ShiftedSolver(model, keep_factorizations=opts.update_strategy == "U1")
     init.validate(model.m, model.p)
     r = init.r
 

@@ -344,7 +344,7 @@ def cmd_verify(args) -> int:
     # the equivalence check projects at the stored data, where the
     # interpolation check factorized, and at a converged ROM the optimality
     # check's nodes are the same; a single check has nothing to share
-    solver = ShiftedSolver(model) if args.check == "all" else None
+    solver = ShiftedSolver(model, keep_factorizations=True) if args.check == "all" else None
 
     def verdict(rep) -> str:
         """``(pass at tol)`` or ``(FAIL at tol)``; a failure sets the exit code."""

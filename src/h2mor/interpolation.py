@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as spla
 
 from .errors import NotConjugateClosed, ParseError, SingularShift
-from .linalg import ShiftedSolver, orthonormalize_real, relative
+from .linalg import ShiftedSolver, _cache_key, orthonormalize_real, relative
 from .model import StateSpaceModel, make_model, projected_arrays
 from .model import _transfer_and_derivative
 
@@ -285,31 +285,33 @@ class InterpolationData:
             for b in self.blocks))
 
 
-def primitive_basis(model: StateSpaceModel, data: InterpolationData, side: str,
-                    solver: ShiftedSolver) -> np.ndarray:
-    """Raw tangential Krylov columns for one side.
+def primitive_basis(model: StateSpaceModel, data: InterpolationData,
+                    solver: ShiftedSolver) -> tuple:
+    """Raw tangential Krylov columns of both sides, ``(V, W)``.
 
     Input side: (A - sigma_i E)^{-1} B r_i; output side the transposed dual
     with C^T l_i.  A chain of length q continues with v_{k+1} =
     (A - sigma E)^{-1} E v_k (transposed analogue on the output side), which
     realizes the Sylvester equation with the Jordan block in S.  A block
     that directly follows its exact conjugate takes the conjugated columns
-    and costs no solve, only a counted request.  ``solver`` is a
-    :class:`ShiftedSolver` or a :class:`~h2mor.linalg.ModalSolver` of ``model``.
+    and costs no solve, only a counted request per side.  ``solver``, a
+    :class:`ShiftedSolver` or :class:`~h2mor.linalg.ModalSolver` of ``model``,
+    releases a shift's LU after the last block at it or its conjugate.
     """
-    if side not in ("input", "output"):
-        raise ValueError("side must be 'input' or 'output'")
-    transposed = side == "output"
-    cols, prev = [], None
-    for b in data.blocks:
+    last = {_cache_key(b.sigma): i for i, b in enumerate(data.blocks)}
+    V, W, prev = [], [], None
+    for i, b in enumerate(data.blocks):
         if prev is not None and b.is_conjugate_of(prev):
-            solver.count_request(b.sigma, transposed)
-            cols.extend([c.conj() for c in cols[-b.length:]])
+            for cols, transposed in ((V, False), (W, True)):
+                solver.count_request(b.sigma, transposed)
+                cols.extend([c.conj() for c in cols[-b.length:]])
         else:
-            rhs = model.C.T @ b.left if transposed else model.B @ b.right
-            cols.extend(solver.chain(b.sigma, rhs, b.length, transposed))
+            V.extend(solver.chain(b.sigma, model.B @ b.right, b.length))
+            W.extend(solver.chain(b.sigma, model.C.T @ b.left, b.length, transposed=True))
+        if last[_cache_key(b.sigma)] == i:
+            solver.release(b.sigma)
         prev = b
-    return np.column_stack(cols)
+    return np.column_stack(V), np.column_stack(W)
 
 
 def sylvester_residual(model: StateSpaceModel, basis: np.ndarray,
@@ -352,8 +354,7 @@ def hermite_arrays(model: StateSpaceModel, data: InterpolationData, solver):
     """
     for attempt in (0, 1):
         try:
-            Vp = primitive_basis(model, data, "input", solver)
-            Wp = primitive_basis(model, data, "output", solver)
+            Vp, Wp = primitive_basis(model, data, solver)
             break
         except SingularShift as exc:
             if attempt:
@@ -448,13 +449,11 @@ def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
     For chains only the order-0/1 conditions at the chain shift are checked
     here; higher moments have their own finite-difference tests.  The second
     node of a conjugate pair takes the first one's residuals, at no solve
-    and no LU, and ``full_lu`` counts the LUs the check adds to ``solver``.
-    Without a solver the check makes its own and holds one LU at a time; a
-    given solver (shared by several checks of ``full``) keeps its
-    factorizations for the caller to drop.
+    and no LU.  ``full_lu`` counts the LUs the check adds to ``solver`` (made
+    when None), which releases each node's LU after its residuals unless it
+    keeps them (a solver shared by several checks of ``full``).
     """
-    own = solver is None
-    if own:
+    if solver is None:
         solver = ShiftedSolver(full)
     lu0 = solver.lu_count
     entries = [None] * len(data.blocks)
@@ -464,6 +463,5 @@ def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
         for i in group:
             entries[i] = TripletResidual(data.blocks[i].sigma, *rho)
             solver.count_request(data.blocks[i].sigma)
-        if own:
-            solver.drop_factorizations()
+        solver.release(b.sigma)
     return InterpolationReport(tuple(entries), full_lu=solver.lu_count - lu0)

@@ -99,6 +99,8 @@ class ShiftedSolver:
     Factorizations are cached by exact shift value.  A conjugate pair of
     shifts shares one LU (solutions for the pair are exact conjugates of each
     other), and direct and transposed solves at the same shift share it too.
+    :meth:`release` frees a shift's LU once its caller is done with it, unless the
+    owner made the solver with ``keep_factorizations`` to return to old shifts later.
     ``lu_count`` increments exactly once per factorization actually computed;
     ``lu_count_norecycle`` counts distinct (shift, mode) requests, i.e. the
     worst-case number of factorizations without any recycling.
@@ -115,8 +117,9 @@ class ShiftedSolver:
     path.  Models above ``DENSE_THRESHOLD`` use :data:`LARGE_SPLU_OPTIONS`.
     """
 
-    def __init__(self, model: StateSpaceModel):
+    def __init__(self, model: StateSpaceModel, keep_factorizations: bool = False):
         self.model = model
+        self.keep_factorizations = keep_factorizations
         self.lu_count = 0
         self.lu_count_norecycle = 0
         self._cache = {}
@@ -127,14 +130,13 @@ class ShiftedSolver:
 
     def holds(self, sigma: complex) -> bool:
         """Whether a factorization that serves ``sigma`` is cached."""
-        sigma = complex(sigma)
-        return (sigma.conjugate() if sigma.imag < 0.0 else sigma) in self._cache
+        return _cache_key(sigma) in self._cache
 
     def solve(self, sigma: complex, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
         """Return (A - sigma E)^{-1} rhs, or the transposed solve."""
         sigma = complex(sigma)
         flip = sigma.imag < 0.0
-        key = sigma.conjugate() if flip else sigma
+        key = _cache_key(sigma)
         entry = self._cache.get(key)
         if entry is None:
             entry = self._factorize(key)
@@ -203,6 +205,11 @@ class ShiftedSolver:
             cols.append(self.solve(sigma, E @ cols[-1], transposed))
         return cols
 
+    def release(self, sigma: complex) -> None:
+        """Release the LU serving ``sigma`` as :meth:`drop_factorizations` does, unless kept."""
+        if not self.keep_factorizations and self.holds(sigma):
+            self._dropped[_cache_key(sigma)] = self._cache.pop(_cache_key(sigma))
+
     def drop_factorizations(self) -> None:
         """Release cached factorizations; all counters keep their values.
 
@@ -211,7 +218,7 @@ class ShiftedSolver:
         it back to the operating system, and the next factorization faults
         it in again: on n = 3600 IRKA runs that tripled the page faults.
         """
-        self._dropped, self._cache = self._cache, {}
+        self._dropped, self._cache = {**self._dropped, **self._cache}, {}
 
 
 class ModalSolver:
@@ -264,8 +271,16 @@ class ModalSolver:
     def count_request(self, sigma: complex, transposed: bool = False) -> None:
         """Nothing is factorized, so nothing is counted."""
 
+    def release(self, sigma: complex) -> None:
+        """Nothing to release: the eigendecomposition serves every shift."""
+
     def drop_factorizations(self) -> None:
         """Nothing to release: the eigendecomposition serves every shift."""
+
+
+def _cache_key(sigma: complex) -> complex:
+    """The shift whose factorization serves ``sigma``: it or its conjugate, Im >= 0."""
+    return sigma.conjugate() if sigma.imag < 0.0 else sigma
 
 
 def _joint_pattern(A, E):
@@ -364,14 +379,15 @@ def generalized_eig(Ar: np.ndarray, Er: np.ndarray):
         raise OrderTooLarge(f"dense eigensolver limited to order {DENSE_THRESHOLD}, got {r}")
     if not (np.isfinite(Ar).all() and np.isfinite(Er).all()):
         raise NonFiniteMatrix("pencil (A, E) has infinite or NaN entries")
-    sv = np.linalg.svd(Er, compute_uv=False)
+    sv = _singular_values(Er, SingularEr)
     if sv[0] == 0.0 or sv[-1] < 1e-14 * sv[0]:
         raise SingularEr("Er is numerically singular")
 
     lam, Y, X = _ggev(Ar, Er)
     if not np.isfinite(lam).all():
         raise SingularEr("pencil has infinite eigenvalues")
-    if np.linalg.cond(X) > EIG_COND_LIMIT:
+    sx = _singular_values(X, DefectiveSpectrum)
+    if sx[0] > EIG_COND_LIMIT * sx[-1]:
         raise DefectiveSpectrum(f"right eigenvector matrix has condition number "
                                 f"> {EIG_COND_LIMIT:g}")
     d = np.einsum("ij,ij->j", Y.conj(), Er @ X)
@@ -420,6 +436,18 @@ def _ggev(A: np.ndarray, E: np.ndarray):
     for v in (vr, vl):
         v /= [nrm2(col) for col in v.T]
     return lam, vl, vr
+
+
+def _singular_values(M: np.ndarray, error) -> np.ndarray:
+    """``spla.svdvals(M)`` from ?gesdd, called as scipy's ``svd`` does; ``error`` if it fails."""
+    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), (M,))
+    key = (gesdd, M.shape)
+    if key not in _LWORK:
+        _LWORK[key] = int(np.real(gesdd_lwork(*M.shape, compute_uv=0)[0]))
+    _, sv, _, info = gesdd(M, compute_uv=0, lwork=_LWORK[key])
+    if info != 0:
+        raise error(f"singular values did not converge (?gesdd info = {info})")
+    return sv
 
 
 def _pair_starts(imag: list) -> list:

@@ -183,8 +183,10 @@ def projected_arrays(model: StateSpaceModel, V: np.ndarray, W: np.ndarray):
         raise DimensionMismatch(
             f"projection bases must both be {model.n}xr, got {V.shape} and {W.shape}"
         )
+    from .linalg import _singular_values
+
     Er = W.T @ (model.E @ V)
-    sv = np.linalg.svd(Er, compute_uv=False)
+    sv = _singular_values(Er, RankDeficientProjection)
     if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
         raise RankDeficientProjection(
             f"W^T E V numerically singular (smin/smax = {sv[-1]:.2e}/{sv[0]:.2e})"

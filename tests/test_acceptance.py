@@ -103,8 +103,8 @@ def test_criterion_1_interpolation_property_suite():
         worst_interp = max(worst_interp,
                            verify_tangential_interpolation(model, rom, data).max_residual)
         worst_sylv = max(worst_sylv,
-                         *(sylvester_residual(model, primitive_basis(model, data, side, solver),
-                                              data, side) for side in ("input", "output")))
+                         *(sylvester_residual(model, basis, data, side) for basis, side
+                           in zip(primitive_basis(model, data, solver), ("input", "output"))))
     elapsed = time.monotonic() - t0
     ok = count == 50 and worst_interp < 1e-8 and worst_sylv < 1e-8 and elapsed < 60.0
     report("criterion 1 (interpolation property suite)", ok,

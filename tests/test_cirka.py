@@ -499,7 +499,7 @@ class TestVerifyOptimality:
         rom = irka(model, init, IrkaOptions(tol=1e-9, max_iter=250)).rom
         nodes, _ = update_interpolation_data(rom)
         groups = len(nodes.conjugate_pairing())
-        solver = ShiftedSolver(model)
+        solver = ShiftedSolver(model, keep_factorizations=True)
         assert verify_tangential_interpolation(model, rom, nodes, solver).full_lu == groups
         # at the rom's own mirrored poles the check reuses every factorization
         shared = verify_h2_optimality(model, rom, solver)

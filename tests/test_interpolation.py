@@ -20,6 +20,22 @@ from h2mor.irka import update_interpolation_data
 
 from .helpers import random_conjugate_data, random_stable_model, transfer_derivatives_circle
 
+SIDES = ("input", "output")      # the order of primitive_basis's (V, W)
+
+
+def _per_side_columns(model, data, solver, transposed):
+    """One side's primitive columns, solved one block after the other."""
+    cols, prev = [], None
+    for b in data.blocks:
+        if prev is not None and b.is_conjugate_of(prev):
+            solver.count_request(b.sigma, transposed)
+            cols.extend([c.conj() for c in cols[-b.length:]])
+        else:
+            rhs = model.C.T @ b.left if transposed else model.B @ b.right
+            cols.extend(solver.chain(b.sigma, rhs, b.length, transposed))
+        prev = b
+    return np.column_stack(cols)
+
 
 class TestInterpolationData:
     def test_zero_init_structure(self):
@@ -142,21 +158,21 @@ class TestInterpolationData:
 class TestPrimitiveBasis:
     def test_scalar_solve(self, scalar_lag):
         data = InterpolationData.simple([0.0], [[1.0]], [[1.0]])
-        V = primitive_basis(scalar_lag, data, "input", ShiftedSolver(scalar_lag))
+        V, _ = primitive_basis(scalar_lag, data, ShiftedSolver(scalar_lag))
         assert np.allclose(V, [[-1.0]])   # (A - 0 E)^{-1} B = -1
 
     @pytest.mark.parametrize("side", ["input", "output"])
     def test_sylvester_residual_simple(self, side):
         model = random_stable_model(20, 2, 2, 10)
         data = random_conjugate_data(4, 2, 2, 11)
-        basis = primitive_basis(model, data, side, ShiftedSolver(model))
+        basis = primitive_basis(model, data, ShiftedSolver(model))[SIDES.index(side)]
         assert sylvester_residual(model, basis, data, side) < 1e-10
 
     @pytest.mark.parametrize("side", ["input", "output"])
     def test_sylvester_residual_chain(self, side):
         model = random_stable_model(20, 2, 2, 12)
         data = InterpolationData((InterpolationBlock(0.0, np.ones(2), np.ones(2), length=3),))
-        basis = primitive_basis(model, data, side, ShiftedSolver(model))
+        basis = primitive_basis(model, data, ShiftedSolver(model))[SIDES.index(side)]
         assert sylvester_residual(model, basis, data, side) < 1e-10
 
     @pytest.mark.parametrize("side", ["input", "output"])
@@ -171,17 +187,41 @@ class TestPrimitiveBasis:
         shifts = []
         solve = solver.solve
         solver.solve = lambda sigma, *a, **k: shifts.append(sigma) or solve(sigma, *a, **k)
-        basis = primitive_basis(model, data, side, solver)
-        assert shifts == [0.8, chain.sigma, chain.sigma]      # none at the partner's shift
+        basis = primitive_basis(model, data, solver)[SIDES.index(side)]
+        # both sides, none at the partner's shift
+        assert shifts == [0.8, 0.8] + [chain.sigma] * 4
         assert np.array_equal(basis[:, 3:], basis[:, 1:3].conj())
         assert solver.lu_count == 2
-        assert solver.lu_count_norecycle == 3
+        assert solver.lu_count_norecycle == 6
         assert sylvester_residual(model, basis, data, side) < 1e-10
+
+    @pytest.mark.parametrize("case", ["chain", "pairs", "repeated"])
+    def test_both_sides_equal_the_per_side_columns(self, case):
+        # one pass over the blocks, both sides at each, against one side at a
+        # time in a solver that keeps every LU: the same bytes and counts,
+        # and every LU released at the end
+        model = random_stable_model(30, 2, 3, 18)
+        pair = InterpolationBlock(0.4 + 1.1j, [1.0, 2.0 - 1j], [0.5j, 1.0, -1.0], length=2)
+        real = InterpolationBlock(0.8, np.ones(2), [1.0, -1.0, 2.0])
+        data = {"chain": InterpolationData((InterpolationBlock(0.0, np.ones(2), np.ones(3), 3),
+                                            real)),
+                "pairs": random_conjugate_data(6, 2, 3, 19),
+                "repeated": InterpolationData((real, pair, pair.conjugate(),
+                                               replace(real, length=2), pair.conjugate(),
+                                               pair))}[case]
+        keep = ShiftedSolver(model, keep_factorizations=True)
+        want = [_per_side_columns(model, data, keep, transposed) for transposed in (False, True)]
+        solver = ShiftedSolver(model)
+        got = primitive_basis(model, data, solver)
+        assert [b.tobytes() for b in got] == [b.tobytes() for b in want]
+        assert (solver.lu_count, solver.lu_count_norecycle) == (keep.lu_count,
+                                                                keep.lu_count_norecycle)
+        assert not any(map(solver.holds, data.shifts))
 
     def test_residual_sensitivity(self):
         model = random_stable_model(20, 1, 1, 13)
         data = random_conjugate_data(4, 1, 1, 14)
-        basis = primitive_basis(model, data, "input", ShiftedSolver(model))
+        basis, _ = primitive_basis(model, data, ShiftedSolver(model))
         noisy = basis + 1e-3 * np.linalg.norm(basis) / np.sqrt(basis.size)
         assert sylvester_residual(model, noisy, data, "input") >= 1e-4
 
@@ -194,8 +234,6 @@ class TestPrimitiveBasis:
     def test_unknown_side(self):
         model = random_stable_model(10, 1, 1, 15)
         data = InterpolationData.simple([0.5], [[1.0]], [[1.0]])
-        with pytest.raises(ValueError, match="side"):
-            primitive_basis(model, data, "both", ShiftedSolver(model))
         with pytest.raises(ValueError, match="side"):
             sylvester_residual(model, np.zeros((10, 1)), data, "both")
 
@@ -220,8 +258,7 @@ class TestHermiteReduce:
         rom, _ = hermite_reduce(model, data, solver)
         report = verify_tangential_interpolation(model, rom, data)
         assert report.passed(1e-8)
-        for side in ("input", "output"):
-            basis = primitive_basis(model, data, side, solver)
+        for basis, side in zip(primitive_basis(model, data, solver), SIDES):
             assert sylvester_residual(model, basis, data, side) < 1e-8
 
     def test_full_order_interpolation_reproduces_model(self):
@@ -280,8 +317,7 @@ class TestHermiteReduce:
         data = random_conjugate_data(4, 2, 2, 24)
         solver = ShiftedSolver(model)
         rom1, _ = hermite_reduce(model, data, solver)
-        V, W = (orthonormalize_real(primitive_basis(model, data, side, solver), data)
-                for side in ("input", "output"))
+        V, W = (orthonormalize_real(basis, data) for basis in primitive_basis(model, data, solver))
         rng = np.random.default_rng(3)
         T1 = rng.standard_normal((4, 4))
         T2 = rng.standard_normal((4, 4))

@@ -9,7 +9,10 @@ from scipy.sparse.linalg import splu
 
 from h2mor import (
     DENSE_THRESHOLD,
+    CirkaOptions,
+    IrkaOptions,
     ShiftedSolver,
+    cirka,
     eval_transfer,
     generalized_eig,
     irka,
@@ -120,6 +123,18 @@ class TestShiftedSolver:
         solver.drop_factorizations()
         solver.solve(1.0, np.ones(20))
         assert solver.lu_count == 2
+
+    @pytest.mark.parametrize("keep", [False, True], ids=["release", "keep"])
+    def test_release_frees_once_the_next_factorization_exists(self, keep):
+        model = random_stable_model(20, 1, 1, 26)
+        solver = ShiftedSolver(model, keep_factorizations=keep)
+        solver.solve(1 + 1j, np.ones(20))
+        solver.release(1 - 1j)                 # the conjugate shift's LU is the same
+        assert solver.holds(1 + 1j) == keep
+        solver.drop_factorizations()
+        assert not solver.holds(1 + 1j) and len(solver._dropped) == 1
+        solver.solve(2.0, np.ones(20))
+        assert len(solver._dropped) == 0 and solver.lu_count == 2
 
 
 SOLVER_MODELS = {
@@ -308,6 +323,23 @@ class TestShiftedSolverLargeModels:
     def test_reused_ordering_keeps_fresh_fill(self, monkeypatch, model):
         _assert_reused_ordering_keeps_fresh_fill(monkeypatch, model, linalg.LARGE_SPLU_OPTIONS)
 
+    @pytest.mark.parametrize("algorithm", ["irka", "cirka-U2"])
+    def test_one_other_lu_live_at_each_factorization(self, monkeypatch, model, algorithm):
+        # the LU being made and the one it replaces: a run never holds a
+        # step's or a model function's LUs all at once
+        live = []
+        factorize = ShiftedSolver._factorize
+        monkeypatch.setattr(ShiftedSolver, "_factorize", lambda solver, sigma: live.append(
+            len(solver._cache) + len(solver._dropped)) or factorize(solver, sigma))
+        init = InterpolationData.zero_init(6, model.m, model.p)
+        if algorithm == "irka":
+            res = irka(model, init, IrkaOptions(max_iter=10))
+        else:
+            res = cirka(model, init, CirkaOptions(update_strategy="U2", outer_max_iter=4,
+                                                  verify_optimality=False))
+        assert res.counters.full_lu == len(live) > 10
+        assert max(live) == 1
+
     @pytest.mark.parametrize("threshold_offset, large", [(-1, True), (0, False)],
                              ids=["order-above-threshold", "order-at-threshold"])
     def test_settings_apply_above_the_threshold_only(self, monkeypatch, model,
@@ -455,7 +487,7 @@ class TestOrthonormalizeReal:
     def test_all_real_basis(self):
         model = random_stable_model(20, 1, 1, 41)
         data = InterpolationData.simple([0.5, 1.5], [[1.0], [1.0]], [[1.0], [1.0]])
-        Vp = primitive_basis(model, data, "input", ShiftedSolver(model))
+        Vp = primitive_basis(model, data, ShiftedSolver(model))[0]
         V = orthonormalize_real(Vp, data)
         assert V.shape == (20, 2)
         assert np.linalg.norm(V.T @ V - np.eye(2)) < 1e-12
@@ -464,7 +496,7 @@ class TestOrthonormalizeReal:
     def test_conjugate_pair_span(self):
         model = random_stable_model(20, 2, 2, 42)
         data = random_conjugate_data(2, 2, 2, 43)
-        Vp = primitive_basis(model, data, "input", ShiftedSolver(model))
+        Vp = primitive_basis(model, data, ShiftedSolver(model))[0]
         V = orthonormalize_real(Vp, data)
         target = np.column_stack([Vp[:, 0].real, Vp[:, 0].imag])
         assert np.max(spla.subspace_angles(V, target)) < 1e-10
@@ -473,7 +505,7 @@ class TestOrthonormalizeReal:
     def test_chain_realification(self):
         model = random_stable_model(24, 1, 1, 44)
         data = InterpolationData.zero_init(4, 1, 1)
-        Vp = primitive_basis(model, data, "input", ShiftedSolver(model))
+        Vp = primitive_basis(model, data, ShiftedSolver(model))[0]
         V = orthonormalize_real(Vp, data)
         assert np.linalg.norm(V.T @ V - np.eye(V.shape[1])) < 1e-12
         assert np.max(spla.subspace_angles(V, Vp.real)) < 1e-8
@@ -481,7 +513,7 @@ class TestOrthonormalizeReal:
     def test_rank_drop_on_duplicates(self):
         model = random_stable_model(20, 1, 1, 45)
         data = InterpolationData.simple([0.5, 0.5], [[1.0], [1.0]], [[1.0], [1.0]])
-        Vp = primitive_basis(model, data, "input", ShiftedSolver(model))
+        Vp = primitive_basis(model, data, ShiftedSolver(model))[0]
         V = orthonormalize_real(Vp, data)
         assert V.shape[1] == 1   # duplicate columns dropped, rank reported via shape
 
@@ -548,6 +580,20 @@ class TestDirectLapackCalls:
         assert _same_bytes(Q, Qs)
         assert _same_bytes(diag, np.diag(Rs))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (8, 8), (22, 22), (22, 6)])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_singular_values_match_numpy_svd(self, shape, dtype):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        M = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            M.imag = rng.standard_normal(shape)
+        assert _same_bytes(linalg._singular_values(M, SingularEr),
+                           np.linalg.svd(M, compute_uv=False))
+
+    def test_failed_gesdd_raises_the_given_error(self):
+        with pytest.raises(DefectiveSpectrum, match="gesdd info = -4"):
+            linalg._singular_values(np.array([[1.0, np.nan], [0.0, 1.0]]), DefectiveSpectrum)
+
     @pytest.mark.parametrize("case", ["chain", "pairs", "duplicates"])
     def test_orthonormalize_real_matches_scipy_qr(self, case):
         model = random_stable_model(24, 2, 2, 46)
@@ -555,7 +601,7 @@ class TestDirectLapackCalls:
                 "pairs": random_conjugate_data(5, 2, 2, 47),
                 "duplicates": InterpolationData.simple([0.5, 0.5, 2.0], np.ones((3, 2)),
                                                        np.ones((3, 2)))}[case]
-        Vp = primitive_basis(model, data, "input", ShiftedSolver(model))
+        Vp = primitive_basis(model, data, ShiftedSolver(model))[0]
         Qs, Rs, _ = spla.qr(realify_columns(Vp, data), mode="economic", pivoting=True)
         diag = np.abs(np.diag(Rs))
         rank = int(np.sum(diag > QR_DROP_TOL * diag[0]))

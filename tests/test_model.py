@@ -196,6 +196,14 @@ class TestProject:
         with pytest.raises(RankDeficientProjection):
             project(model, V, V)
 
+    def test_non_finite_basis_is_a_typed_error(self):
+        # ?gesdd refuses a NaN entry; np.linalg.svd raised a bare LinAlgError
+        model = random_stable_model(8, 1, 1, 7)
+        V = np.eye(8)[:, :2]
+        V[0, 0] = np.nan
+        with pytest.raises(RankDeficientProjection, match="gesdd"):
+            project(model, V, np.eye(8)[:, :2])
+
     def test_feedthrough_carried_over(self):
         model = make_model(None, np.diag([-1.0, -2.0]), np.eye(2), np.eye(2),
                            [[1.0, 2.0], [3.0, 4.0]])
