@@ -76,8 +76,11 @@ class CirkaOptions:
             raise ValueError(f"update_strategy must be one of {UPDATE_STRATEGIES}")
         if not (np.isfinite(self.outer_tol) and self.outer_tol > 0):
             raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol}")
-        if self.outer_max_iter < 1:
-            raise ValueError("outer_max_iter must be >= 1")
+        if (isinstance(self.outer_max_iter, bool)
+                or not isinstance(self.outer_max_iter, (int, np.integer))
+                or self.outer_max_iter < 1):
+            raise ValueError("outer_max_iter must be an integer >= 1, "
+                             f"got {self.outer_max_iter!r}")
 
     def initial_order(self, r: int) -> int:
         """The initial model-function order: 2r by default; I.2 allows only 2r, I.1 any above r."""

@@ -327,6 +327,8 @@ def cmd_bode(args) -> int:
 
 def cmd_verify(args) -> int:
     with _io_phase():
+        if not (np.isfinite(args.tol) and args.tol > 0):
+            raise ValueError(f"--tol must be positive and finite, got {args.tol}")
         _, model = _load(args.model, args.data_dir)
         rom = load_rom_dir(args.rom)
         data_path = Path(args.data) if args.data else Path(args.rom) / "data.json"

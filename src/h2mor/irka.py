@@ -42,8 +42,9 @@ class IrkaOptions:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse as sps
 
 from .errors import FeedthroughMismatch, NegativeInput
@@ -40,8 +39,11 @@ def h2_norm_quadrature(model: StateSpaceModel) -> float:
     is integrated to a relative tolerance alone, so scaling C scales the
     result and nothing else.  Documented accuracy about 1e-4 relative;
     intended as an independent cross-check of :func:`h2_norm` and for large
-    sparse models where the dense Gramian path is unavailable.
+    sparse models where the dense Gramian path is unavailable.  The only user
+    of ``scipy.integrate``, which it imports on its first call.
     """
+    import scipy.integrate  # not at module level: it loads scipy.optimize, special, spatial, fft
+
     mags = np.abs(pencil_eigenvalues(model)) if model.n <= DENSE_THRESHOLD else np.empty(0)
     mags = mags[mags > 0.0]         # a zero eigenvalue sets no time scale
     lo, hi = (mags.min() / 100.0, mags.max() * 100.0) if mags.size else (1e-4, 1e6)

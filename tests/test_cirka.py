@@ -226,10 +226,13 @@ class TestUpdateModelFunction:
 
 
 class TestCirka:
+    # a non-integer outer_max_iter would otherwise reach range() inside cirka
+    # as a bare TypeError
     @pytest.mark.parametrize("bad", [dict(outer_tol=0.0), dict(outer_tol=np.inf),
-                                     dict(outer_tol=np.nan)])
+                                     dict(outer_tol=np.nan)]
+                             + [dict(outer_max_iter=v) for v in (2.5, 3.0, True, "3", None)])
     def test_option_validation(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             CirkaOptions(**bad)
 
     @pytest.mark.parametrize("bad, choices", [

@@ -435,6 +435,26 @@ class TestVerify:
         rep = verify_realization_equivalence(model, data, load_rom_dir(out))
         assert lines[1:] == [f"n_LU (verification) = {rep.full_lu}"]
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_invalid_tol_is_validation_error(self, model_tree, tmp_path, monkeypatch, capsys,
+                                             tol):
+        # a passing ROM: a negative, zero or nan tolerance would fail every
+        # check with exit 3, an infinite one would pass any ROM
+        model = model_tree[0]
+        data = random_conjugate_data(4, 2, 2, 704)
+        rom, _ = hermite_reduce(model, data)
+        out = tmp_path / "romdir"
+        save_rom_dir(rom, out)
+        (out / "data.json").write_text(json.dumps(data.to_jsonable()))
+        argv = ["verify", "--model", "toy24", "--rom", str(out), "--check", "interp"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # refused before the model is loaded
+        monkeypatch.setattr("h2mor.cli._load", lambda *a: pytest.fail("model loaded"))
+        assert main([*argv, "--tol", tol]) == 1
+        assert f"--tol must be positive and finite, got {float(tol)}" in assert_one_line(
+            capsys, "error: ")
+
     def test_unstable_poles_skipped_line(self, model_tree, tmp_path, capsys):
         out = tmp_path / "unstable"
         save_rom_dir(make_model(None, np.diag([-1.0, 0.5]), np.ones((2, 2)),

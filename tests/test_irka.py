@@ -247,6 +247,15 @@ class TestIrka:
         with pytest.raises(ValueError):
             IrkaOptions(max_iter=0)
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+    def test_max_iter_must_be_an_integer(self, bad):
+        # a float cap would otherwise reach range() inside irka as a bare TypeError
+        with pytest.raises(ValueError, match="max_iter"):
+            IrkaOptions(max_iter=bad)
+
+    def test_max_iter_takes_a_numpy_integer(self):
+        assert IrkaOptions(max_iter=np.int64(7)).max_iter == 7
+
 
 def _without_cycle_check(monkeypatch):
     """Run IRKA as if it had no cycle check: every run goes on to ``max_iter``."""

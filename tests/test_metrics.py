@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -15,6 +21,31 @@ from h2mor.errors import FeedthroughMismatch, NegativeInput, UnstablePencil
 from h2mor.metrics import CostReport, error_system
 
 from .helpers import random_stable_model, spring_chain_model
+
+
+#: SciPy subpackages that ``scipy.integrate`` pulls in and no reduction uses.
+INTEGRATOR_ONLY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.spatial",
+                   "scipy.fft", "scipy.constants")
+
+
+def test_import_leaves_out_the_integrator():
+    # a fresh interpreter: this one has long since loaded whatever the tests use
+    script = textwrap.dedent(f"""
+        import sys
+        import h2mor, h2mor.cli
+        loaded = [m for m in {INTEGRATOR_ONLY!r} if m in sys.modules]
+        assert not loaded, loaded
+        lag = h2mor.make_model([[1.0]], [[-1.0]], [[1.0]], [[1.0]])
+        norm = h2mor.h2_norm(lag)
+        assert abs(h2mor.h2_norm_quadrature(lag) - norm) < 1e-4 * norm
+        assert "scipy.integrate" in sys.modules
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestH2Norm:
