@@ -38,7 +38,8 @@ from .interpolation import (
     same_triplet,
     verify_tangential_interpolation,
 )
-from .irka import IrkaOptions, IrkaResult, _mirrored_data, _settled, irka
+from .irka import (IrkaOptions, IrkaResult, _integer, _iterate, _mirrored_data,
+                   _positive_finite, _settled, irka)
 from .linalg import (
     CostCounters,
     ModalSolver,
@@ -70,17 +71,19 @@ class CirkaOptions:
     verify_optimality: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.inner, IrkaOptions):
+            raise ValueError(f"inner must be IrkaOptions, got {self.inner!r}")
         if self.init_strategy not in INIT_STRATEGIES:
             raise ValueError(f"init_strategy must be one of {INIT_STRATEGIES}")
         if self.update_strategy not in UPDATE_STRATEGIES:
             raise ValueError(f"update_strategy must be one of {UPDATE_STRATEGIES}")
-        if not (np.isfinite(self.outer_tol) and self.outer_tol > 0):
+        if not _positive_finite(self.outer_tol):
             raise ValueError(f"outer_tol must be positive and finite, got {self.outer_tol}")
-        if (isinstance(self.outer_max_iter, bool)
-                or not isinstance(self.outer_max_iter, (int, np.integer))
-                or self.outer_max_iter < 1):
+        if not (_integer(self.outer_max_iter) and self.outer_max_iter >= 1):
             raise ValueError("outer_max_iter must be an integer >= 1, "
                              f"got {self.outer_max_iter!r}")
+        if not (self.initial_nM is None or _integer(self.initial_nM)):
+            raise ValueError(f"initial_nM must be None or an integer, got {self.initial_nM!r}")
 
     def initial_order(self, r: int) -> int:
         """The initial model-function order: 2r by default; I.2 allows only 2r, I.1 any above r."""
@@ -426,8 +429,7 @@ def cirka(model: StateSpaceModel, init: InterpolationData,
             raise RankCollapse(f"model function has order {mf.order} after rank trimming, "
                                f"below r = {r}")
         t0 = perf_counter()
-        inner = irka(mf.surrogate, data, opts.inner, _surrogate_solver(mf.surrogate),
-                     inner_run=True)
+        inner = _iterate(mf.surrogate, data, opts.inner, _surrogate_solver(mf.surrogate))
         counters.add_time("optimization", perf_counter() - t0)
         counters.surrogate_lu += inner.counters.full_lu
         counters.surrogate_lu_norecycle += inner.counters.full_lu_norecycle

@@ -40,11 +40,20 @@ class IrkaOptions:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0):
+        if not _positive_finite(self.tol):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer))
-                or self.max_iter < 1):
+        if not (_integer(self.max_iter) and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+
+
+def _integer(x) -> bool:
+    """Whether an option value is an int or a numpy integer; a bool is not."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _positive_finite(x) -> bool:
+    """Whether an option value is a positive finite real number; a bool is not."""
+    return (_integer(x) or isinstance(x, (float, np.floating))) and 0 < x < np.inf
 
 
 @dataclass
@@ -195,8 +204,7 @@ def _pad_to_order(data: InterpolationData, r: int) -> InterpolationData:
 
 
 def irka(model: StateSpaceModel, init: InterpolationData,
-         opts: IrkaOptions | None = None,
-         solver=None, *, inner_run: bool = False) -> IrkaResult:
+         opts: IrkaOptions | None = None, solver=None) -> IrkaResult:
     """Iterate interpolation data to a (local) H2-optimal reduced model.
 
     Runs until :func:`shift_convergence` falls below ``opts.tol`` or
@@ -207,7 +215,7 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     tolerance, without the remaining steps.  Hitting
     the cap, settling on a step that reflected an unstable pole (the
     returned model keeps it) or a cycle is reported through
-    ``converged=False`` and ``stop_reason``, not raised; a direct run logs
+    ``converged=False`` and ``stop_reason``, not raised; the run logs
     one warning for the last two.
     ``solver`` is a :class:`ShiftedSolver` (made when None) or a
     :class:`~h2mor.linalg.ModalSolver` of ``model``; the run's ``full_lu``
@@ -218,9 +226,8 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     lost rank.  A returned reduced model of order below ``init.r`` raises
     :class:`RankCollapse`.  Steps that had to perturb a shift off the
     spectrum are counted in ``shift_retries`` and summarized in one
-    warning.  ``inner_run`` marks one of CIRKA's inner runs: its next outer
-    step starts from the re-inflated data, so a low order does not raise,
-    and CIRKA reports its runs' retries, cycles and convergence itself.
+    warning.  CIRKA's inner runs take the same steps through
+    :func:`_iterate`, without these warnings and this raise.
     """
     opts = opts or IrkaOptions()
     if solver is None:
@@ -228,7 +235,26 @@ def irka(model: StateSpaceModel, init: InterpolationData,
     init.validate(model.m, model.p)
     if init.r > model.n:
         raise DimensionMismatch(f"reduced order {init.r} exceeds model order {model.n}")
+    res = _iterate(model, init, opts, solver)
+    if res.stop_reason == "cycle":
+        returned = next(i for i, d in enumerate(res.shift_history) if d is res.optimal_data)
+        log.warning("IRKA entered a cycle of period %d at step %d; returning step %d, "
+                    "where max_iter = %d would end: not converged",
+                    _cycle_period(res.shift_history), res.iterations, returned, opts.max_iter)
+    if res.stop_reason == "unstable":
+        log.warning("IRKA settled at step %d on a reflected pole: the reduced model "
+                    "is unstable, not converged", res.iterations)
+    if res.shift_retries:
+        log.warning("%d of %d IRKA steps perturbed a shift that hit the spectrum",
+                    res.shift_retries, res.iterations)
+    if res.rom.n < init.r:
+        raise RankCollapse(f"reduced model has order {res.rom.n} after rank trimming, "
+                           f"below r = {init.r}")
+    return res
 
+
+def _iterate(model: StateSpaceModel, init: InterpolationData, opts, solver) -> IrkaResult:
+    """:func:`irka` without its checks, warnings and raise: the loop CIRKA's inner runs call."""
     lu0, lu0n = solver.lu_count, solver.lu_count_norecycle
     t0 = perf_counter()
     data = init
@@ -266,20 +292,7 @@ def irka(model: StateSpaceModel, init: InterpolationData,
         # the step max_iter would end on: the one of the last p congruent to it
         returned = k - (k - opts.max_iter) % period
         data = history[returned]
-        if not inner_run:
-            log.warning("IRKA entered a cycle of period %d at step %d; returning step %d, "
-                        "where max_iter = %d would end: not converged",
-                        period, k, returned, opts.max_iter)
-    if reason == "unstable" and not inner_run:
-        log.warning("IRKA settled at step %d on a reflected pole: the reduced model "
-                    "is unstable, not converged", k)
-    if retries and not inner_run:
-        log.warning("%d of %d IRKA steps perturbed a shift that hit the spectrum",
-                    retries, k)
     rom = make_model(*step_arrays[returned], model.D)
-    if not inner_run and rom.n < init.r:
-        raise RankCollapse(f"reduced model has order {rom.n} after rank trimming, "
-                           f"below r = {init.r}")
     counters = CostCounters(
         full_lu=solver.lu_count - lu0,
         full_lu_norecycle=solver.lu_count_norecycle - lu0n,

@@ -226,14 +226,23 @@ class TestUpdateModelFunction:
 
 
 class TestCirka:
-    # a non-integer outer_max_iter would otherwise reach range() inside cirka
-    # as a bare TypeError
+    # without these checks a non-integer outer_max_iter reaches range() inside
+    # cirka, and initial_nM = 9.5 reaches ShiftedSolver.chain, as a bare
+    # TypeError; initial_nM = True reads as order 1, and inner options other
+    # than IrkaOptions fail inside the first inner run
     @pytest.mark.parametrize("bad", [dict(outer_tol=0.0), dict(outer_tol=np.inf),
                                      dict(outer_tol=np.nan)]
-                             + [dict(outer_max_iter=v) for v in (2.5, 3.0, True, "3", None)])
+                             + [dict(outer_max_iter=v) for v in (2.5, 3.0, True, "3", None)]
+                             + [dict(initial_nM=v) for v in (9.5, 8.0, True, np.True_, "8")]
+                             + [dict(outer_tol=v) for v in (True, np.True_, "1e-3", None)]
+                             + [dict(inner=None), dict(inner=dict(tol=1e-3))])
     def test_option_validation(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
             CirkaOptions(**bad)
+
+    @pytest.mark.parametrize("nM", [None, 9, np.int64(9)])
+    def test_initial_nM_takes_none_or_an_integer(self, nM):
+        assert CirkaOptions(init_strategy="I1", initial_nM=nM).initial_nM == nM
 
     @pytest.mark.parametrize("bad, choices", [
         (dict(init_strategy="I3"), "('I1', 'I2')"),
@@ -324,10 +333,40 @@ class TestCirka:
         assert sum("last inner IRKA run did not converge (stop reason: cycle)" in m
                    for m in messages) == 1
         assert messages.count("4 of 5 inner IRKA runs stopped on a cycle") == 1
+        # the inner runs share direct IRKA's loop, but only a direct run warns
+        assert not any("IRKA entered a cycle" in m for m in messages)
+        assert not any("perturbed a shift" in m for m in messages)
         from h2mor.cirka import _find_match
 
         for b in res.optimal_data.blocks:
             assert _find_match(res.model_function.history.blocks, b) is not None
+
+    def test_direct_irka_repeats_last_inner_irka_run(self, caplog):
+        # the last inner run of the case above, rerun through the public irka()
+        # on the final surrogate from the previous optimal data: the same
+        # iterates and counts, and only this direct run warns on its cycle
+        from h2mor import irka
+        from h2mor.cirka import _surrogate_solver
+
+        model = random_stable_model(50, 2, 1, 503)
+        res = cirka(model, InterpolationData.zero_init(4, 2, 1), tight_opts())
+        last = res.inner_results[-1]
+        surrogate = res.model_function.surrogate
+        with caplog.at_level("WARNING", logger="h2mor"):
+            caplog.clear()
+            direct = irka(surrogate, res.inner_results[-2].optimal_data, tight_opts().inner,
+                          _surrogate_solver(surrogate))
+        assert direct.stop_reason == last.stop_reason == "cycle"
+        assert direct.iterations == last.iterations
+        assert direct.counters.full_lu == last.counters.full_lu
+        assert direct.counters.full_lu_norecycle == last.counters.full_lu_norecycle
+        assert len(direct.shift_history) == len(last.shift_history)
+        for got, exp in zip(direct.shift_history, last.shift_history):
+            for a, b in zip(got.sorted_columns, exp.sorted_columns):
+                np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(direct.optimal_data.shifts, last.optimal_data.shifts)
+        assert [r.getMessage().startswith("IRKA entered a cycle of period")
+                for r in caplog.records] == [True]
 
     def test_model_function_above_n_falls_back(self, caplog):
         # I.2 asks for order 2r = 60 > n = 50: the order cap, not a crash.
@@ -345,7 +384,7 @@ class TestCirka:
         with pytest.raises(RankCollapse, match="order 1 "):
             cirka(model, InterpolationData.zero_init(4, 1, 1), tight_opts(outer_max_iter=1))
 
-    def test_shift_retries_counted_once_per_inner_run(self, monkeypatch, caplog):
+    def test_shift_retries_counted_once_per_inner_irka_run(self, monkeypatch, caplog):
         # the first surrogate solve of every inner run lands on the surrogate's
         # spectrum, so each inner run perturbs one shift
         hit = set()

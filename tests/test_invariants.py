@@ -13,6 +13,8 @@ To list the cases a change moves, one line each, without writing:
 
     PYTHONPATH=src python -m tests.test_invariants --diff
 
+It exits 1 when any case moved or is new, and 0 when none did.
+
 Regenerate the fixture only when a change is meant to alter iterates, and
 say why in CHANGES.md:
 
@@ -195,21 +197,28 @@ def test_change_report_when_history_shortens():
     assert _change("irka/zero/0", old, old) is None
 
 
-def update_fixture(write: bool) -> None:
-    """Recompute every case, print one line per case that moved, and write if asked."""
+def update_fixture(write: bool) -> int:
+    """Recompute every case, print one line per case that moved, and write if asked.
+
+    Returns the number of cases that moved or are new.
+    """
     old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     payload = {key: compute(key) for key in KEYS}
+    moved = 0
     for key, case in payload.items():
         line = _change(key, old[key], case) if key in old else f"{key}: new case"
         if line:
             print(line)
+            moved += 1
     if write:
         FIXTURE.parent.mkdir(parents=True, exist_ok=True)
         FIXTURE.write_text(json.dumps(payload, separators=(",", ":")) + "\n")
         print(f"wrote {len(payload)} cases to {FIXTURE}")
+    return moved
 
 
 if __name__ == "__main__":
     if sys.argv[1:] not in (["--write"], ["--diff"]):
         sys.exit("usage: python -m tests.test_invariants --write | --diff")
-    update_fixture(write=sys.argv[1] == "--write")
+    write = sys.argv[1] == "--write"
+    sys.exit(1 if update_fixture(write) and not write else 0)

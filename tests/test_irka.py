@@ -256,6 +256,15 @@ class TestIrka:
     def test_max_iter_takes_a_numpy_integer(self):
         assert IrkaOptions(max_iter=np.int64(7)).max_iter == 7
 
+    @pytest.mark.parametrize("bad", [True, np.True_, "1e-3", None])
+    def test_tol_must_be_a_real_number(self, bad):
+        with pytest.raises(ValueError, match="tol"):
+            IrkaOptions(tol=bad)
+
+    @pytest.mark.parametrize("tol", [1, np.int64(1), np.float32(1e-3)])
+    def test_tol_takes_an_integer_or_numpy_real(self, tol):
+        assert IrkaOptions(tol=tol).tol == tol
+
 
 def _without_cycle_check(monkeypatch):
     """Run IRKA as if it had no cycle check: every run goes on to ``max_iter``."""
