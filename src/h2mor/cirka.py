@@ -256,7 +256,8 @@ def verify_h2_optimality(full_model: StateSpaceModel, rom: StateSpaceModel,
     at the mirrored rom poles -conj(lambda_i), with the residue directions as
     tangents.  So this is :func:`verify_tangential_interpolation` at the data
     :func:`~h2mor.irka._mirrored_data` builds from the stable poles, one
-    full-order LU per real pole and per conjugate pair, held one at a time.
+    full-order LU per real pole and per conjugate pair, made and freed inside
+    its shift's call of :func:`~h2mor.linalg.for_each_shift`.
     A ``solver`` that already holds the factorizations at all these nodes
     (a converged rom checked after its stored data) is used instead, and
     ``full_lu`` is 0; a solver that lacks any of them is left as it is, so

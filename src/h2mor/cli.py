@@ -26,7 +26,13 @@ from .cirka import (
 from .errors import DimensionMismatch, IoError, ModelReductionError
 from .interpolation import InterpolationData, verify_tangential_interpolation
 from .irka import IrkaOptions, irka
-from .linalg import LARGE_SPLU_OPTIONS, SHIFTED_ORDERING, ShiftedSolver, pencil_eigenvalues
+from .linalg import (
+    _WORKERS,
+    LARGE_SPLU_OPTIONS,
+    SHIFTED_ORDERING,
+    ShiftedSolver,
+    pencil_eigenvalues,
+)
 from .metrics import bode_samples
 from .mmio import find_manifest, load_model, load_rom_dir, save_rom_dir, write_text
 from .model import DENSE_THRESHOLD
@@ -51,11 +57,13 @@ def default_config() -> dict:
         "update_strategy": co.update_strategy,
         "outer_tol": co.outer_tol,
         "outer_max_iter": co.outer_max_iter,
-        # how ShiftedSolver factorizes A - sigma E, so a reported time can be
-        # tied to the settings it was measured with
+        # how ShiftedSolver factorizes A - sigma E, and on how many threads,
+        # so a reported time can be tied to the settings it was measured with
         "lu_ordering": SHIFTED_ORDERING,
         "lu_superlu_options": dict(LARGE_SPLU_OPTIONS),
         "lu_superlu_options_above_order": DENSE_THRESHOLD,
+        "lu_workers": _WORKERS,
+        "lu_workers_above_order": DENSE_THRESHOLD,
     }
 
 

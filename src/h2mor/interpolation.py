@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg as spla
 
 from .errors import NotConjugateClosed, ParseError, SingularShift
-from .linalg import ShiftedSolver, _cache_key, orthonormalize_real, relative
+from .linalg import ShiftedSolver, _cache_key, for_each_shift, orthonormalize_real, relative
 from .model import StateSpaceModel, make_model, projected_arrays
 from .model import _transfer_and_derivative
 
@@ -296,22 +296,32 @@ def primitive_basis(model: StateSpaceModel, data: InterpolationData,
     that directly follows its exact conjugate takes the conjugated columns
     and costs no solve, only a counted request per side.  ``solver``, a
     :class:`ShiftedSolver` or :class:`~h2mor.linalg.ModalSolver` of ``model``,
-    releases a shift's LU after the last block at it or its conjugate.
+    serves the blocks at each shift and its conjugate in one call of
+    :func:`~h2mor.linalg.for_each_shift`, which may run the shifts in parallel.
     """
-    last = {_cache_key(b.sigma): i for i, b in enumerate(data.blocks)}
-    V, W, prev = [], [], None
-    for i, b in enumerate(data.blocks):
-        if prev is not None and b.is_conjugate_of(prev):
-            for cols, transposed in ((V, False), (W, True)):
-                solver.count_request(b.sigma, transposed)
-                cols.extend([c.conj() for c in cols[-b.length:]])
-        else:
-            V.extend(solver.chain(b.sigma, model.B @ b.right, b.length))
-            W.extend(solver.chain(b.sigma, model.C.T @ b.left, b.length, transposed=True))
-        if last[_cache_key(b.sigma)] == i:
-            solver.release(b.sigma)
-        prev = b
-    return np.column_stack(V), np.column_stack(W)
+    blocks = data.blocks
+    at = {}
+    for i, b in enumerate(blocks):
+        at.setdefault(_cache_key(b.sigma), []).append(i)
+
+    def columns(sigma, s):
+        cols = {}
+        for i in at[sigma]:
+            b = blocks[i]
+            if i and b.is_conjugate_of(blocks[i - 1]):
+                for transposed in (False, True):
+                    s.count_request(b.sigma, transposed)
+                cols[i] = tuple([c.conj() for c in side] for side in cols[i - 1])
+            else:
+                cols[i] = (s.chain(b.sigma, model.B @ b.right, b.length),
+                           s.chain(b.sigma, model.C.T @ b.left, b.length, transposed=True))
+        return cols
+
+    cols = {}
+    for part in for_each_shift(solver, list(at), columns):
+        cols.update(part)
+    return tuple(np.column_stack([c for i in range(len(blocks)) for c in cols[i][side]])
+                 for side in (0, 1))
 
 
 def sylvester_residual(model: StateSpaceModel, basis: np.ndarray,
@@ -449,19 +459,29 @@ def verify_tangential_interpolation(full: StateSpaceModel, rom: StateSpaceModel,
     For chains only the order-0/1 conditions at the chain shift are checked
     here; higher moments have their own finite-difference tests.  The second
     node of a conjugate pair takes the first one's residuals, at no solve
-    and no LU.  ``full_lu`` counts the LUs the check adds to ``solver`` (made
-    when None), which releases each node's LU after its residuals unless it
-    keeps them (a solver shared by several checks of ``full``).
+    and no LU, and the nodes at one shift share its LU.  ``full_lu`` counts
+    the LUs the check adds to ``solver`` (made when None), which serves the
+    shifts through :func:`~h2mor.linalg.for_each_shift`: each LU is released
+    after its shift's residuals unless the solver keeps them (a solver
+    shared by several checks of ``full``).
     """
     if solver is None:
         solver = ShiftedSolver(full)
     lu0 = solver.lu_count
-    entries = [None] * len(data.blocks)
+    at = {}
     for group in data.conjugate_pairing():
-        b = data.blocks[group[0]]
-        rho = triplet_residuals(full, rom, b.sigma, b.right, b.left, solver)
-        for i in group:
-            entries[i] = TripletResidual(data.blocks[i].sigma, *rho)
-            solver.count_request(data.blocks[i].sigma)
-        solver.release(b.sigma)
-    return InterpolationReport(tuple(entries), full_lu=solver.lu_count - lu0)
+        at.setdefault(_cache_key(data.blocks[group[0]].sigma), []).append(group)
+
+    def residuals(sigma, s):
+        out = []
+        for group in at[sigma]:
+            b = data.blocks[group[0]]
+            rho = triplet_residuals(full, rom, b.sigma, b.right, b.left, s)
+            for i in group:
+                out.append((i, TripletResidual(data.blocks[i].sigma, *rho)))
+                s.count_request(data.blocks[i].sigma)
+        return out
+
+    entries = dict(e for part in for_each_shift(solver, list(at), residuals) for e in part)
+    return InterpolationReport(tuple(entries[i] for i in range(len(data.blocks))),
+                               full_lu=solver.lu_count - lu0)

@@ -8,8 +8,12 @@ extraction) are only meant for reduced/surrogate orders, guarded by
 from __future__ import annotations
 
 import logging
+import os
+import threading
+import traceback
 import warnings
 import weakref
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +71,14 @@ _ORDERINGS = weakref.WeakKeyDictionary()
 #: into a direct-IRKA fallback.
 LARGE_SPLU_OPTIONS = {"panel_size": 1, "relax": 1}
 
+#: Usable CPUs: the most shifts :func:`for_each_shift` factorizes at once.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+#: The threads of :func:`for_each_shift`, started on its first pooled batch.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
 
 @dataclass
 class CostCounters:
@@ -115,6 +127,10 @@ class ShiftedSolver:
     so every later factorization takes the permuted pencil without
     reordering.  ``solve`` maps the permutation back, into C order on every
     path.  Models above ``DENSE_THRESHOLD`` use :data:`LARGE_SPLU_OPTIONS`.
+
+    A solver serves one thread at a time.  :func:`for_each_shift` spreads a
+    batch of shifts over fresh solvers of the model, one per shift and
+    thread, so every LU is made and freed by one thread.
     """
 
     def __init__(self, model: StateSpaceModel, keep_factorizations: bool = False):
@@ -276,6 +292,108 @@ class ModalSolver:
 
     def drop_factorizations(self) -> None:
         """Nothing to release: the eigendecomposition serves every shift."""
+
+
+def for_each_shift(solver, sigmas, work) -> list:
+    """``work(sigma, s)`` once per distinct shift of ``sigmas``; the results in batch order.
+
+    A shift and its conjugate are one shift, passed as the first of them in
+    ``sigmas``; ``s`` serves it, and ``work`` solves at no other shift.  The
+    shifted systems do not depend on each other, so a batch of a
+    :class:`ShiftedSolver` above ``DENSE_THRESHOLD`` that does not keep its
+    factorizations runs on up to ``_WORKERS`` threads (the usable CPUs).
+    Each call there gets a fresh solver of the model, which factorizes,
+    solves and is dropped inside the call: SuperLU leaks an LU that is freed
+    on a thread other than the one that made it.  Such a solver takes the
+    model's column ordering, so it does the arithmetic the caller's solver
+    would do; the caller's solver adds in its ``lu_count`` and requests.
+    Every other batch runs on ``solver`` itself, one shift after the other,
+    releasing each shift's LU after its call: a batch of one shift, of a
+    small model, of a solver that keeps its factorizations or already holds
+    one of the shifts, of any other class (:class:`ModalSolver`, a
+    subclass), and the first shift of a model whose ordering is not chosen
+    yet.
+
+    An exception leaves for the first shift in batch order whose call
+    raised, after every call has ended, and ``solver`` counts what the
+    calls up to that one counted: what running the batch in order counts.
+    """
+    firsts = {}
+    for sigma in map(complex, sigmas):
+        firsts.setdefault(_cache_key(sigma), sigma)
+    shifts = list(firsts.values())
+    inline = len(shifts)
+    if (_WORKERS > 1 and inline > 1 and type(solver) is ShiftedSolver
+            and solver.model.n > DENSE_THRESHOLD and not solver.keep_factorizations
+            and not any(map(solver.holds, shifts))):
+        inline = int(solver.model not in _ORDERINGS)
+    results = []
+    for sigma in shifts[:inline]:
+        results.append(work(sigma, solver))
+        solver.release(sigma)
+    if inline < len(shifts):
+        results += _pooled(solver, shifts[inline:], work)
+    return results
+
+
+def _pooled(solver, shifts, work) -> list:
+    """:func:`for_each_shift`'s calls at ``shifts`` on the pool, one fresh solver each."""
+    global _POOL
+    model = solver.model
+    model.ET                    # built once, here, not by every call that needs it
+    solver._dropped = {}        # freed on the thread that made them
+
+    def task(sigma):
+        s = ShiftedSolver(model)
+        try:
+            out = work(sigma, s)
+        except Exception as exc:    # raised on the calling thread by for_each_shift
+            _clear_frames(exc)      # a frame of work must not keep s alive
+            out = exc
+        counts = s.lu_count, s._requested
+        del s                       # its LU is freed here, on the thread that made it
+        return out, counts
+
+    with _POOL_LOCK:
+        if _POOL is None:
+            # loaded here: a process that never pools shifts does not import it
+            from concurrent.futures import ThreadPoolExecutor
+            _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="h2mor-shift")
+        pool = _POOL
+    futures = [pool.submit(task, sigma) for sigma in shifts]
+    results = []
+    try:
+        for future in futures:
+            out, (lu_count, requested) = future.result()
+            solver.lu_count += lu_count
+            for request in requested:
+                solver.count_request(*request)
+            if isinstance(out, Exception):
+                raise out
+            results.append(out)
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+    return results
+
+
+def _clear_frames(exc: BaseException) -> None:
+    """Drop the locals of the frames in the tracebacks of ``exc`` and of its causes."""
+    chain = [exc]
+    for e in chain:
+        traceback.clear_frames(e.__traceback__)
+        chain += [c for c in (e.__cause__, e.__context__) if c is not None and c not in chain]
+
+
+def _forget_pool() -> None:
+    """A forked process has none of its parent's threads; it starts a pool of its own."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _cache_key(sigma: complex) -> complex:

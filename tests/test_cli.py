@@ -15,6 +15,7 @@ from h2mor import (
     verify_realization_equivalence,
     verify_tangential_interpolation,
 )
+from h2mor import linalg
 from h2mor.cli import _fmt_shifts, main
 from h2mor.errors import DefectiveSpectrum
 from h2mor.mmio import load_rom_dir, save_rom_dir, write_matrix_market
@@ -229,6 +230,13 @@ class TestConfig:
         assert cfg["lu_ordering"] == "MMD_AT_PLUS_A"
         assert cfg["lu_superlu_options"] == {"panel_size": 1, "relax": 1}
         assert cfg["lu_superlu_options_above_order"] == DENSE_THRESHOLD
+
+    def test_prints_shift_workers(self, capsys):
+        # a step's shifts are factorized on this many threads above this order
+        assert main(["config"]) == 0
+        cfg = json.loads(capsys.readouterr().out)
+        assert cfg["lu_workers"] == linalg._WORKERS >= 1
+        assert cfg["lu_workers_above_order"] == DENSE_THRESHOLD
 
 
 class TestReduce:

@@ -1,5 +1,11 @@
 import gc
+import os
+import signal
+import sys
+import threading
+import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,12 +40,21 @@ from h2mor.errors import (
     UnstablePencil,
 )
 from h2mor import linalg
-from h2mor.interpolation import InterpolationData, _dense_shifted_solve, primitive_basis
+from h2mor.interpolation import (
+    InterpolationBlock,
+    InterpolationData,
+    _dense_shifted_solve,
+    hermite_arrays,
+    hermite_reduce,
+    primitive_basis,
+    verify_tangential_interpolation,
+)
 from h2mor.linalg import (
     QR_DROP_TOL,
     CostCounters,
     ModalSolver,
     conjugate_pairs,
+    for_each_shift,
     pencil_eigenvalues,
     realify_columns,
 )
@@ -287,6 +302,75 @@ class TestShiftedSolverOrdering:
         _assert_reused_ordering_keeps_fresh_fill(monkeypatch, SOLVER_MODELS[name](), {})
 
 
+def _run(algorithm, model):
+    init = InterpolationData.zero_init(6, model.m, model.p)
+    if algorithm == "irka":
+        return irka(model, init, IrkaOptions(max_iter=10))
+    return cirka(model, init, CirkaOptions(update_strategy="U2", outer_max_iter=4,
+                                           verify_optimality=False))
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """``use_workers(k)``: pooled batches run on a pool of k threads of the test's own."""
+    pools = []
+
+    def use(k):
+        if pools and linalg._POOL is not None:
+            linalg._POOL.shutdown()
+        monkeypatch.setattr(linalg, "_WORKERS", k)
+        monkeypatch.setattr(linalg, "_POOL", None)
+        pools.append(k)
+
+    yield use
+    if pools and linalg._POOL is not None:
+        linalg._POOL.shutdown()
+
+
+class _TrackedLU:
+    """An LU that records the thread that made it and the one that frees it."""
+
+    def __init__(self, lu, freed):
+        self._lu, self._freed, self.made = lu, freed, threading.get_ident()
+
+    @property
+    def perm_c(self):
+        return self._lu.perm_c
+
+    def solve(self, *args, **kwargs):
+        return self._lu.solve(*args, **kwargs)
+
+    def __del__(self):
+        self._freed.append((self.made, threading.get_ident()))
+
+
+@pytest.fixture
+def tracked_lus(monkeypatch):
+    """``tracked_lus(n)``: the factorizations of order n, from then on.
+
+    ``made`` holds the thread of each, ``freed`` (maker, freer) per freed
+    one, and ``live`` how many others were alive when each was started.
+    """
+    real_splu = linalg.splu
+
+    def track(n):
+        lus = SimpleNamespace(made=[], freed=[], live=[])
+
+        def splu(M, *args, **kwargs):
+            if M.shape[0] != n:
+                return real_splu(M, *args, **kwargs)
+            lus.live.append(len(lus.made) - len(lus.freed))
+            lu = _TrackedLU(real_splu(M, *args, **kwargs), lus.freed)
+            lus.made.append(lu.made)
+            return lu
+
+        monkeypatch.setattr(linalg, "splu", splu)
+        return lus
+
+    return track
+
+
+
 #: Grid models just above DENSE_THRESHOLD (n = 2025), factorized with
 #: LARGE_SPLU_OPTIONS.
 LARGE_MODELS = {
@@ -324,21 +408,30 @@ class TestShiftedSolverLargeModels:
         _assert_reused_ordering_keeps_fresh_fill(monkeypatch, model, linalg.LARGE_SPLU_OPTIONS)
 
     @pytest.mark.parametrize("algorithm", ["irka", "cirka-U2"])
-    def test_one_other_lu_live_at_each_factorization(self, monkeypatch, model, algorithm):
-        # the LU being made and the one it replaces: a run never holds a
-        # step's or a model function's LUs all at once
-        live = []
-        factorize = ShiftedSolver._factorize
-        monkeypatch.setattr(ShiftedSolver, "_factorize", lambda solver, sigma: live.append(
-            len(solver._cache) + len(solver._dropped)) or factorize(solver, sigma))
-        init = InterpolationData.zero_init(6, model.m, model.p)
-        if algorithm == "irka":
-            res = irka(model, init, IrkaOptions(max_iter=10))
-        else:
-            res = cirka(model, init, CirkaOptions(update_strategy="U2", outer_max_iter=4,
-                                                  verify_optimality=False))
-        assert res.counters.full_lu == len(live) > 10
-        assert max(live) == 1
+    def test_one_other_lu_live_at_each_factorization(self, tracked_lus, use_workers, model,
+                                                     algorithm):
+        # one shift after another, the LU being made and the one it replaces;
+        # on a pool of two, one LU per worker, each made and freed inside its
+        # task: a run never holds a step's or a model function's LUs all at once
+        for workers in (1, 2):
+            use_workers(workers)
+            lus = tracked_lus(model.n)
+            res = _run(algorithm, model)
+            assert res.counters.full_lu == len(lus.made) > 10
+            assert max(lus.live) <= 1
+            workers_used = len(set(lus.made) - {threading.get_ident()})
+            assert workers_used == (0 if workers == 1 else 2)
+
+    @pytest.mark.parametrize("algorithm", ["irka", "cirka-U2"])
+    def test_each_lu_freed_on_the_thread_that_made_it(self, tracked_lus, use_workers,
+                                                      model, algorithm):
+        # SuperLU leaks an LU that a thread other than its maker frees
+        use_workers(3)
+        lus = tracked_lus(model.n)
+        _run(algorithm, model)
+        gc.collect()
+        assert len(set(lus.made) - {threading.get_ident()}) > 1
+        assert sorted(lus.freed) == sorted(zip(lus.made, lus.made))
 
     @pytest.mark.parametrize("threshold_offset, large", [(-1, True), (0, False)],
                              ids=["order-above-threshold", "order-at-threshold"])
@@ -361,6 +454,198 @@ class TestShiftedSolverLargeModels:
         assert calls == [dict(permc_spec="MMD_AT_PLUS_A", **options)] + \
             [dict(permc_spec="NATURAL", **options)] * 5
         assert solutions[0] == solutions[1]
+
+
+def _pool_and_inline(use_workers, run):
+    """``run()`` on a pool of 3 threads with a short switch interval, then inline."""
+    out = []
+    for workers in (3, 1):
+        use_workers(workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out.append(run())
+        finally:
+            sys.setswitchinterval(interval)
+    return out
+
+
+def _blocks(m, p, seed, *shifts):
+    """Blocks at ``(sigma, length)`` with random real tangents."""
+    rng = np.random.default_rng(seed)
+    return InterpolationData(tuple(
+        InterpolationBlock(sigma, rng.standard_normal(m), rng.standard_normal(p), length)
+        for sigma, length in shifts))
+
+
+#: Interpolation data whose columns come from several shifts.
+DATA_CASES = {
+    "real": lambda m, p: _blocks(m, p, 30, (0.5, 1), (1.0, 1), (2.0, 1), (4.0, 1)),
+    "pairs": lambda m, p: random_conjugate_data(5, m, p, 31),
+    "chain": lambda m, p: _blocks(m, p, 32, (0.5, 3), (2.0, 1)),
+    "two-blocks-at-one-shift": lambda m, p: _blocks(m, p, 33, (1.0, 1), (3.0, 1), (1.0, 1)),
+}
+
+
+class TestForEachShift:
+    """One task per shift on the pool gives what one shift after another gives."""
+
+    @pytest.fixture(scope="class", params=list(LARGE_MODELS))
+    def model(self, request):
+        model = LARGE_MODELS[request.param]()
+        ShiftedSolver(model).solve(0.5, model.B)      # chooses the model's ordering
+        return model
+
+    def test_one_call_per_shift_in_batch_order(self, use_workers, model):
+        rhs = model.B[:, 0]
+
+        def run():
+            solver = ShiftedSolver(model)
+            out = for_each_shift(solver, [0.5, 1 + 2j, 1 - 2j, 0.5, 2.0, 3.0],
+                                 lambda sigma, s: (sigma, s.solve(sigma, rhs).tobytes()))
+            return out, solver.lu_count, solver.lu_count_norecycle
+
+        pooled, inline = _pool_and_inline(use_workers, run)
+        assert pooled == inline
+        assert [sigma for sigma, _ in pooled[0]] == [0.5, 1 + 2j, 2.0, 3.0]
+        assert pooled[1:] == (4, 4)
+
+    @pytest.mark.parametrize("case", list(DATA_CASES))
+    def test_primitive_basis_on_the_pool_equals_inline(self, tracked_lus, use_workers,
+                                                       model, case):
+        data = DATA_CASES[case](model.m, model.p)
+        lus = tracked_lus(model.n)
+
+        def run():
+            solver, first = ShiftedSolver(model), len(lus.made)
+            V, W = primitive_basis(model, data, solver)
+            threads = set(lus.made[first:]) - {threading.get_ident()}
+            return V.tobytes(), W.tobytes(), solver.lu_count, solver.lu_count_norecycle, threads
+
+        pooled, inline = _pool_and_inline(use_workers, run)
+        assert pooled[:4] == inline[:4]
+        assert pooled[4] and not inline[4]
+
+    @pytest.mark.parametrize("case", list(DATA_CASES))
+    def test_interpolation_check_on_the_pool_equals_inline(self, use_workers, model, case):
+        data = DATA_CASES[case](model.m, model.p)
+        rom, _ = hermite_reduce(model, random_conjugate_data(4, model.m, model.p, 34))
+
+        def run():
+            solver = ShiftedSolver(model)
+            report = verify_tangential_interpolation(model, rom, data, solver)
+            return ([(e.sigma, e.rho_right, e.rho_left, e.rho_hermite) for e in report.entries],
+                    report.full_lu, solver.lu_count, solver.lu_count_norecycle)
+
+        pooled, inline = _pool_and_inline(use_workers, run)
+        assert pooled == inline
+        assert len(pooled[0]) == len(data.blocks)
+
+    def test_singular_shift_is_the_first_failing_one(self, monkeypatch, use_workers, model):
+        # the second of three shifts fails after the third has: it is the one
+        # reported, and so the one hermite_arrays perturbs
+        singular = set()
+        splu_at = ShiftedSolver._splu
+
+        def fail_at(solver, sigma, ordering):
+            if sigma == 1.0 and 2.0 in singular:
+                time.sleep(0.05)            # on the pool, 2.0 fails first
+            if sigma in singular:
+                raise SingularShift(f"singular at {sigma}", sigma=sigma)
+            return splu_at(solver, sigma, ordering)
+
+        monkeypatch.setattr(ShiftedSolver, "_splu", fail_at)
+        data = _blocks(model.m, model.p, 35, (0.5, 1), (1.0, 1), (2.0, 1))
+
+        def run():
+            singular.update((1.0, 2.0))
+            solver = ShiftedSolver(model)
+            with pytest.raises(SingularShift) as info:
+                primitive_basis(model, data, solver)
+            failed = info.value.sigma, solver.lu_count, solver.lu_count_norecycle
+            singular.discard(2.0)
+            arrays, used = hermite_arrays(model, data, ShiftedSolver(model))
+            singular.clear()
+            return failed, [a.tobytes() for a in arrays], used.shifts.tolist()
+
+        pooled, inline = _pool_and_inline(use_workers, run)
+        assert pooled == inline
+        assert pooled[0] == (1.0, 1, 2)
+        assert pooled[2] == [0.5, (1 + 1e-8) * 1.0 + 1e-8, 2.0]
+
+    def test_failing_call_drops_its_solver_on_its_thread(self, use_workers, model):
+        use_workers(2)
+        solver, children = ShiftedSolver(model), []
+
+        def work(sigma, s):
+            children.append(weakref.ref(s))
+            s.solve(sigma, model.B)
+            if sigma != 0.5:
+                raise ValueError(f"fails at {sigma.real}")
+
+        with pytest.raises(ValueError, match="fails at 1.0"):
+            for_each_shift(solver, [0.5, 1.0, 2.0], work)
+        assert len(children) == 3
+        assert all(ref() is None for ref in children)
+        assert solver.lu_count == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_process_starts_a_pool_of_its_own(self, use_workers, model):
+        # the parent's worker threads do not exist in the child, whose
+        # batches would wait for them forever
+        use_workers(2)
+
+        def run():
+            return for_each_shift(ShiftedSolver(model), [0.5, 1.0, 2.0],
+                                  lambda sigma, s: s.solve(sigma, model.B).tobytes())
+
+        expected = run()
+        pid = os.fork()
+        if pid == 0:                # the child reports through its exit code only
+            code = 1
+            try:
+                signal.alarm(60)
+                code = 0 if run() == expected else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_first_shift_of_a_new_model_chooses_its_ordering_inline(self, use_workers,
+                                                                    model):
+        use_workers(2)
+        model = make_model(model.E, model.A, model.B, model.C)
+        solver, calls = ShiftedSolver(model), []
+        for_each_shift(solver, [0.5, 1.0, 2.0], lambda sigma, s: calls.append(
+            (s is solver, threading.get_ident())) or s.solve(sigma, model.B))
+        main = threading.get_ident()
+        assert calls[0] == (True, main)
+        assert all(not inline and thread != main for inline, thread in calls[1:])
+        assert model in linalg._ORDERINGS and "ET" in vars(model)   # settled before the tasks
+
+    @pytest.mark.parametrize("case", ["small-model", "keep", "holds-a-shift", "one-shift",
+                                      "modal", "subclass"])
+    def test_inline_batches(self, use_workers, model, case):
+        use_workers(2)
+        sigmas = [0.5, 1 + 1j, 2.0]
+        if case == "small-model":
+            solver = ShiftedSolver(random_stable_model(50, 1, 1, 36))
+        elif case == "keep":
+            solver = ShiftedSolver(model, keep_factorizations=True)
+        elif case == "holds-a-shift":
+            solver = ShiftedSolver(model)
+            solver.solve(2.0, model.B)
+        elif case == "one-shift":
+            solver, sigmas = ShiftedSolver(model), [1 + 1j, 1 - 1j]
+        elif case == "modal":
+            solver = ModalSolver(random_stable_model(50, 1, 1, 36))
+        else:
+            solver = type("Counting", (ShiftedSolver,), {})(model)
+        calls = []
+        for_each_shift(solver, sigmas, lambda sigma, s: calls.append(
+            (s is solver, threading.get_ident())))
+        assert calls == [(True, threading.get_ident())] * len(set(map(linalg._cache_key, sigmas)))
+
 
 
 class TestCostCounters:
